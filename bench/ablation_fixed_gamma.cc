@@ -6,10 +6,13 @@
 // widening when relations differ in quality (the ACP network's broad
 // venues; the weather network's unreliable P-typed neighbors).
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/flags.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/dblp_generator.h"
 #include "datagen/weather_generator.h"
 
@@ -22,6 +25,17 @@ int main(int argc, char** argv) {
   PrintHeader("Ablation — learned gamma vs fixed gamma = 1");
   PrintRow({"workload", "fixed", "learned", "delta"});
 
+  // NMI of one Engine::Fit over every labeled node (0 when the fit fails).
+  auto fit_nmi = [](const Dataset& dataset,
+                    std::vector<std::string> attributes,
+                    const GenClusConfig& config) {
+    FitOptions options;
+    options.attributes = std::move(attributes);
+    options.config = config;
+    auto fit = Engine::Fit(dataset, options);
+    return fit.ok() ? OverallNmi(fit->model.HardLabels(), dataset.labels)
+                    : 0.0;
+  };
   auto summarize = [&](const char* name, auto run_once) {
     std::vector<double> fixed;
     std::vector<double> learned;
@@ -53,15 +67,9 @@ int main(int argc, char** argv) {
     config.init_em_steps = 3;
     config.seed = seed;
     config.learn_strengths = false;
-    auto fixed = RunGenClus(acp->dataset, {"text"}, config);
+    const double fixed = fit_nmi(acp->dataset, {"text"}, config);
     config.learn_strengths = true;
-    auto learned = RunGenClus(acp->dataset, {"text"}, config);
-    return std::pair<double, double>(
-        fixed.ok() ? OverallNmi(fixed->HardLabels(), acp->dataset.labels)
-                   : 0.0,
-        learned.ok()
-            ? OverallNmi(learned->HardLabels(), acp->dataset.labels)
-            : 0.0);
+    return std::pair(fixed, fit_nmi(acp->dataset, {"text"}, config));
   });
 
   // ACP network with sparse titles: when the attribute signal is weak,
@@ -85,16 +93,9 @@ int main(int argc, char** argv) {
     config.init_em_steps = 3;
     config.seed = seed;
     config.learn_strengths = false;
-    auto fixed = RunGenClus(sparse_acp->dataset, {"text"}, config);
+    const double fixed = fit_nmi(sparse_acp->dataset, {"text"}, config);
     config.learn_strengths = true;
-    auto learned = RunGenClus(sparse_acp->dataset, {"text"}, config);
-    return std::pair<double, double>(
-        fixed.ok()
-            ? OverallNmi(fixed->HardLabels(), sparse_acp->dataset.labels)
-            : 0.0,
-        learned.ok()
-            ? OverallNmi(learned->HardLabels(), sparse_acp->dataset.labels)
-            : 0.0);
+    return std::pair(fixed, fit_nmi(sparse_acp->dataset, {"text"}, config));
   });
 
   // Weather network, Setting 1.
@@ -112,19 +113,12 @@ int main(int argc, char** argv) {
     config.num_init_seeds = 5;
     config.init_em_steps = 5;
     config.seed = seed;
+    const std::vector<std::string> attributes = {"temperature",
+                                                 "precipitation"};
     config.learn_strengths = false;
-    auto fixed = RunGenClus(weather->dataset,
-                            {"temperature", "precipitation"}, config);
+    const double fixed = fit_nmi(weather->dataset, attributes, config);
     config.learn_strengths = true;
-    auto learned = RunGenClus(weather->dataset,
-                              {"temperature", "precipitation"}, config);
-    return std::pair<double, double>(
-        fixed.ok()
-            ? OverallNmi(fixed->HardLabels(), weather->dataset.labels)
-            : 0.0,
-        learned.ok()
-            ? OverallNmi(learned->HardLabels(), weather->dataset.labels)
-            : 0.0);
+    return std::pair(fixed, fit_nmi(weather->dataset, attributes, config));
   });
   return 0;
 }

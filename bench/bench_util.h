@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "baselines/topic_models.h"
-#include "core/genclus.h"
 #include "eval/nmi.h"
 #include "hin/dataset.h"
 #include "linalg/matrix.h"

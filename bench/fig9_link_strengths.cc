@@ -14,7 +14,7 @@
 
 #include "bench/bench_util.h"
 #include "common/flags.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/dblp_generator.h"
 
 int main(int argc, char** argv) {
@@ -30,37 +30,38 @@ int main(int argc, char** argv) {
   auto corpus = GenerateDblpCorpus(data_config);
   if (!corpus.ok()) return 1;
 
-  GenClusConfig config;
-  config.num_clusters = 4;
-  config.outer_iterations = 10;
-  config.em_iterations = 40;
-  config.num_init_seeds = 5;
-  config.init_em_steps = 3;
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  FitOptions options;
+  options.attributes = {"text"};
+  options.config.num_clusters = 4;
+  options.config.outer_iterations = 10;
+  options.config.em_iterations = 40;
+  options.config.num_init_seeds = 5;
+  options.config.init_em_steps = 3;
+  options.config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   PrintHeader("Fig. 9(a) — Strengths in the AC network");
   auto ac = BuildAcNetwork(*corpus, data_config);
   if (!ac.ok()) return 1;
-  auto gen_ac = RunGenClus(ac->dataset, {"text"}, config);
+  auto gen_ac = Engine::Fit(ac->dataset, options);
   if (!gen_ac.ok()) return 1;
+  const std::vector<double>& ac_gamma = gen_ac->model.gamma;
   PrintRow({"relation", "measured", "paper"});
-  PrintRow({"publish_in<A,C>", Fmt(gen_ac->gamma[ac->publish_in]),
-            Fmt(14.46)});
-  PrintRow({"published_by<C,A>", Fmt(gen_ac->gamma[ac->published_by]),
+  PrintRow({"publish_in<A,C>", Fmt(ac_gamma[ac->publish_in]), Fmt(14.46)});
+  PrintRow({"published_by<C,A>", Fmt(ac_gamma[ac->published_by]),
             Fmt(10.96)});
-  PrintRow({"coauthor<A,A>", Fmt(gen_ac->gamma[ac->coauthor]), Fmt(0.01)});
+  PrintRow({"coauthor<A,A>", Fmt(ac_gamma[ac->coauthor]), Fmt(0.01)});
 
   PrintHeader("Fig. 9(b) — Strengths in the ACP network");
   auto acp = BuildAcpNetwork(*corpus, data_config);
   if (!acp.ok()) return 1;
-  auto gen_acp = RunGenClus(acp->dataset, {"text"}, config);
+  auto gen_acp = Engine::Fit(acp->dataset, options);
   if (!gen_acp.ok()) return 1;
+  const std::vector<double>& acp_gamma = gen_acp->model.gamma;
   PrintRow({"relation", "measured", "paper"});
-  PrintRow({"write<A,P>", Fmt(gen_acp->gamma[acp->write]), Fmt(13.99)});
-  PrintRow({"written_by<P,A>", Fmt(gen_acp->gamma[acp->written_by]),
-            Fmt(13.30)});
-  PrintRow({"publish<C,P>", Fmt(gen_acp->gamma[acp->publish]), Fmt(0.54)});
-  PrintRow({"published_by<P,C>", Fmt(gen_acp->gamma[acp->published_by]),
+  PrintRow({"write<A,P>", Fmt(acp_gamma[acp->write]), Fmt(13.99)});
+  PrintRow({"written_by<P,A>", Fmt(acp_gamma[acp->written_by]), Fmt(13.30)});
+  PrintRow({"publish<C,P>", Fmt(acp_gamma[acp->publish]), Fmt(0.54)});
+  PrintRow({"published_by<P,C>", Fmt(acp_gamma[acp->published_by]),
             Fmt(3.13)});
 
   std::printf(

@@ -7,13 +7,13 @@
 // precipitation sensors deployed; the remainder arrives as a
 // NetworkDelta (SliceDatasetPrefix produces exactly that delta), and the
 // grown network is re-solved two ways — cold Fit, and Refit warm-started
-// from the base model with convergence-aware EM sweeps on.
+// from the base model.
 //
 // Correctness gates (non-zero exit, CI treats as broken build):
 //   * warm Refit must reach the cold fit's NMI minus at most 0.01;
 //   * warm Refit must spend at most 50% of the cold fit's EM sweeps;
-//   * the convergence-aware Refit iterate must be bitwise invariant to
-//     thread count x shard count (Model::Fingerprint equality).
+//   * the warm Refit iterate must be bitwise invariant to thread count x
+//     shard count (Model::Fingerprint equality).
 //
 // Flags: --out FILE (default BENCH_refit.json), --small (CI fixture),
 //        --data-seed N, --seed N.
@@ -43,7 +43,6 @@ struct Cell {
   size_t full_em_sweeps = 0;
   size_t refit_em_sweeps = 0;
   double sweep_ratio = 0.0;  // refit / full
-  size_t refit_blocks_skipped = 0;
   double full_seconds = 0.0;
   double refit_seconds = 0.0;
   uint64_t refit_fingerprint = 0;
@@ -99,13 +98,13 @@ void WriteJson(const std::string& path, const std::string& fixture,
         "    {\"base_nodes\": %zu, \"full_nodes\": %zu, "
         "\"full_nmi\": %.4f, \"refit_nmi\": %.4f, "
         "\"full_em_sweeps\": %zu, \"refit_em_sweeps\": %zu, "
-        "\"sweep_ratio\": %.3f, \"refit_blocks_skipped\": %zu, "
+        "\"sweep_ratio\": %.3f, "
         "\"full_seconds\": %.3f, \"refit_seconds\": %.3f, "
         "\"refit_fingerprint\": \"%016llx\", "
         "\"fingerprint_invariant\": %s}%s\n",
         c.base_nodes, c.full_nodes, c.full_nmi, c.refit_nmi,
-        c.full_em_sweeps, c.refit_em_sweeps, c.sweep_ratio,
-        c.refit_blocks_skipped, c.full_seconds, c.refit_seconds,
+        c.full_em_sweeps, c.refit_em_sweeps, c.sweep_ratio, c.full_seconds,
+        c.refit_seconds,
         static_cast<unsigned long long>(c.refit_fingerprint),
         c.fingerprint_invariant ? "true" : "false",
         i + 1 < cells.size() ? "," : "");
@@ -133,7 +132,7 @@ int main(int argc, char** argv) {
   const double deployed_fraction = 0.8;
 
   PrintHeader("refit: warm-start maintenance vs from-scratch fit");
-  PrintRow({"nodes", "nmi_full", "nmi_refit", "sweeps", "ratio", "skip",
+  PrintRow({"nodes", "nmi_full", "nmi_refit", "sweeps", "ratio",
             "speedup"});
 
   std::vector<Cell> cells;
@@ -183,8 +182,6 @@ int main(int argc, char** argv) {
     // two outer iterations absorb the delta. The NMI gate below verifies
     // the short schedule is actually enough.
     refit_options.config.outer_iterations = 2;
-    refit_options.config.block_convergence_tol =
-        refit_options.config.em_tolerance;
     auto refit = Engine::Refit(data->dataset, base_fit->model,
                                refit_options);
     if (!refit.ok()) {
@@ -207,13 +204,12 @@ int main(int argc, char** argv) {
             ? static_cast<double>(cell.refit_em_sweeps) /
                   static_cast<double>(cell.full_em_sweeps)
             : 0.0;
-    cell.refit_blocks_skipped = refit->report.em_blocks_skipped;
     cell.full_seconds = full_fit->report.total_seconds;
     cell.refit_seconds = refit->report.total_seconds;
     cell.refit_fingerprint = refit->model.Fingerprint();
 
-    // Convergence-aware warm refit must not depend on the execution
-    // geometry: same fingerprint for every thread x shard combination.
+    // The warm refit must not depend on the execution geometry: same
+    // fingerprint for every thread x shard combination.
     cell.fingerprint_invariant = true;
     for (size_t threads : {1u, 2u}) {
       for (size_t shards : {1u, 2u}) {
@@ -260,7 +256,6 @@ int main(int argc, char** argv) {
               StrFormat("%zu/%zu", cell.refit_em_sweeps,
                         cell.full_em_sweeps),
               StrFormat("%.2f", cell.sweep_ratio),
-              StrFormat("%zu", cell.refit_blocks_skipped),
               StrFormat("%.1fx", cell.refit_seconds > 0.0
                                      ? cell.full_seconds /
                                            cell.refit_seconds

@@ -14,7 +14,7 @@
 #include "bench/bench_util.h"
 #include "common/flags.h"
 #include "common/string_util.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/dblp_generator.h"
 #include "eval/hungarian.h"
 
@@ -33,18 +33,20 @@ int main(int argc, char** argv) {
   auto ac = BuildAcNetwork(*corpus, data_config);
   if (!ac.ok()) return 1;
 
-  GenClusConfig config;
-  config.num_clusters = 4;
-  config.outer_iterations = 10;
-  config.em_iterations = 40;
-  config.num_init_seeds = 5;
-  config.init_em_steps = 3;
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  auto result = RunGenClus(ac->dataset, {"text"}, config);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+  FitOptions options;
+  options.attributes = {"text"};
+  options.config.num_clusters = 4;
+  options.config.outer_iterations = 10;
+  options.config.em_iterations = 40;
+  options.config.num_init_seeds = 5;
+  options.config.init_em_steps = 3;
+  options.config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  auto fit = Engine::Fit(ac->dataset, options);
+  if (!fit.ok()) {
+    std::fprintf(stderr, "%s\n", fit.status().ToString().c_str());
     return 1;
   }
+  const Matrix& memberships = fit->model.theta;
 
   // Align cluster ids to areas using the pure conferences' ground truth.
   const size_t k = 4;
@@ -52,7 +54,7 @@ int main(int argc, char** argv) {
   for (size_t c = 0; c < ac->conference_nodes.size(); ++c) {
     if (corpus->conference_is_broad[c]) continue;
     const NodeId v = ac->conference_nodes[c];
-    const double* row = result->theta.Row(v);
+    const double* row = memberships.Row(v);
     for (size_t j = 0; j < k; ++j) {
       votes(corpus->conference_area[c], j) += row[j];
     }
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
   PrintRow({"object", "area1", "area2", "area3", "area4"});
   auto print_membership = [&](const std::string& name, NodeId v) {
     std::vector<std::string> row = {name};
-    const double* theta = result->theta.Row(v);
+    const double* theta = memberships.Row(v);
     for (size_t area = 0; area < k; ++area) {
       row.push_back(Fmt(theta[match.assignment[area]]));
     }

@@ -11,7 +11,7 @@
 #include "baselines/topic_models.h"
 #include "bench/bench_util.h"
 #include "common/flags.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/dblp_generator.h"
 #include "eval/link_prediction.h"
 
@@ -41,14 +41,15 @@ int main(int argc, char** argv) {
   it_config.seed = seed;
   auto it = RunITopicModel(dataset.network, dataset.attributes[0],
                            it_config);
-  GenClusConfig gconfig;
-  gconfig.num_clusters = 4;
-  gconfig.outer_iterations = 10;
-  gconfig.em_iterations = 40;
-  gconfig.num_init_seeds = 5;
-  gconfig.init_em_steps = 3;
-  gconfig.seed = seed;
-  auto gen = RunGenClus(dataset, {"text"}, gconfig);
+  FitOptions gen_options;
+  gen_options.attributes = {"text"};
+  gen_options.config.num_clusters = 4;
+  gen_options.config.outer_iterations = 10;
+  gen_options.config.em_iterations = 40;
+  gen_options.config.num_init_seeds = 5;
+  gen_options.config.init_em_steps = 3;
+  gen_options.config.seed = seed;
+  auto gen = Engine::Fit(dataset, gen_options);
   if (!np.ok() || !it.ok() || !gen.ok()) {
     std::fprintf(stderr, "a method failed\n");
     return 1;
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
                                          acp->published_by, kinds[i]);
     auto map_it = EvaluateLinkPrediction(dataset.network, it->theta,
                                          acp->published_by, kinds[i]);
-    auto map_gen = EvaluateLinkPrediction(dataset.network, gen->theta,
+    auto map_gen = EvaluateLinkPrediction(dataset.network, gen->model.theta,
                                           acp->published_by, kinds[i]);
     PrintRow({SimilarityKindName(kinds[i]),
               Fmt(map_np.ok() ? map_np->map : NAN),

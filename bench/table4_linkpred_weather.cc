@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "common/flags.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/weather_generator.h"
 #include "eval/link_prediction.h"
 
@@ -30,15 +30,15 @@ int main(int argc, char** argv) {
   auto data = GenerateWeatherNetwork(wconfig);
   if (!data.ok()) return 1;
 
-  GenClusConfig config;
-  config.num_clusters = 4;
-  config.outer_iterations = 5;
-  config.em_iterations = 40;
-  config.num_init_seeds = 5;
-  config.init_em_steps = 5;
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 3));
-  auto gen = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                        config);
+  FitOptions options;
+  options.attributes = {"temperature", "precipitation"};
+  options.config.num_clusters = 4;
+  options.config.outer_iterations = 5;
+  options.config.em_iterations = 40;
+  options.config.num_init_seeds = 5;
+  options.config.init_em_steps = 5;
+  options.config.seed = static_cast<uint64_t>(flags.GetInt("seed", 3));
+  auto gen = Engine::Fit(data->dataset, options);
   if (!gen.ok()) {
     std::fprintf(stderr, "%s\n", gen.status().ToString().c_str());
     return 1;
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                                   SimilarityKind::kNegativeEuclidean,
                                   SimilarityKind::kNegativeCrossEntropy};
   for (int i = 0; i < 3; ++i) {
-    auto map = EvaluateLinkPrediction(data->dataset.network, gen->theta,
+    auto map = EvaluateLinkPrediction(data->dataset.network, gen->model.theta,
                                       data->tp_link, kinds[i]);
     PrintRow({SimilarityKindName(kinds[i]),
               Fmt(map.ok() ? map->map : NAN), Fmt(paper[i])});

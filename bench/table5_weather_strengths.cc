@@ -13,7 +13,7 @@
 #include "bench/bench_util.h"
 #include "common/flags.h"
 #include "common/string_util.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/weather_generator.h"
 
 int main(int argc, char** argv) {
@@ -37,21 +37,21 @@ int main(int argc, char** argv) {
     auto data = GenerateWeatherNetwork(wconfig);
     if (!data.ok()) return 1;
 
-    GenClusConfig config;
-    config.num_clusters = 4;
-    config.outer_iterations = 5;
-    config.em_iterations = 40;
-    config.num_init_seeds = 5;
-    config.init_em_steps = 5;
-    config.seed = static_cast<uint64_t>(flags.GetInt("seed", 3));
-    auto gen = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                          config);
+    FitOptions options;
+    options.attributes = {"temperature", "precipitation"};
+    options.config.num_clusters = 4;
+    options.config.outer_iterations = 5;
+    options.config.em_iterations = 40;
+    options.config.num_init_seeds = 5;
+    options.config.init_em_steps = 5;
+    options.config.seed = static_cast<uint64_t>(flags.GetInt("seed", 3));
+    auto gen = Engine::Fit(data->dataset, options);
     if (!gen.ok()) return 1;
 
+    const std::vector<double>& gamma = gen->model.gamma;
     PrintRow({StrFormat("T:1000; P:%zu", sizes[row]),
-              Fmt(gen->gamma[data->tt_link]), Fmt(gen->gamma[data->tp_link]),
-              Fmt(gen->gamma[data->pt_link]),
-              Fmt(gen->gamma[data->pp_link])});
+              Fmt(gamma[data->tt_link]), Fmt(gamma[data->tp_link]),
+              Fmt(gamma[data->pt_link]), Fmt(gamma[data->pp_link])});
     PrintRow({"  (paper)", Fmt(paper[row][0]), Fmt(paper[row][1]),
               Fmt(paper[row][2]), Fmt(paper[row][3])});
   }

@@ -37,19 +37,6 @@ Status GenClusConfig::Validate(size_t num_link_types) const {
   if (!FiniteNonNegative(em_tolerance)) {
     return Status::InvalidArgument("em_tolerance must be finite and >= 0");
   }
-  if (!FiniteNonNegative(block_convergence_tol)) {
-    return Status::InvalidArgument(
-        "block_convergence_tol must be finite and >= 0");
-  }
-  if (block_convergence_tol > 0.0 && block_convergence_tol > em_tolerance) {
-    return Status::InvalidArgument(
-        "block_convergence_tol must be <= em_tolerance (a skipped block's "
-        "frozen delta must sit below the global convergence test)");
-  }
-  if (block_convergence_sweeps < 1) {
-    return Status::InvalidArgument(
-        "block_convergence_sweeps must be >= 1");
-  }
   if (!FiniteNonNegative(newton_tolerance)) {
     return Status::InvalidArgument(
         "newton_tolerance must be finite and >= 0");

@@ -58,24 +58,6 @@ struct GenClusConfig {
   /// EM converges when max |Theta_t - Theta_{t-1}| drops below this.
   double em_tolerance = 1e-4;
 
-  /// Convergence-aware EM sweeps: a reduction block whose per-block
-  /// max |Theta| change stayed below this tolerance for
-  /// `block_convergence_sweeps` consecutive sweeps is skipped — its Theta
-  /// rows and cached component statistics are carried forward — until a
-  /// block it reads (an out-link neighborhood block) moves again, which
-  /// re-arms it. 0 (default) disables skipping. Skip decisions derive only
-  /// from the deterministic per-block deltas, so fitted models stay
-  /// bitwise invariant to thread count x shard count; skipping is an
-  /// approximation bounded by this tolerance (a skipped block's rows lag
-  /// by < tol per sweep). Must be <= em_tolerance when non-zero: a
-  /// skipped block's frozen delta then sits below the global convergence
-  /// test and can never stall it.
-  double block_convergence_tol = 0.0;
-
-  /// Consecutive quiet sweeps before a block is skipped (see
-  /// block_convergence_tol). Must be >= 1.
-  size_t block_convergence_sweeps = 2;
-
   /// Maximum Newton-Raphson iterations per strength-learning step (t2).
   size_t newton_iterations = 50;
 
@@ -136,12 +118,6 @@ struct GenClusConfig {
   /// learning" ablation; baselines effectively run in this mode).
   bool learn_strengths = true;
 
-  /// When true (default), each outer iteration's EM starts from the
-  /// previous iteration's Theta instead of re-initializing, so clustering
-  /// and strengths mutually enhance each other across iterations
-  /// (the behaviour Fig. 10 illustrates).
-  bool warm_start = true;
-
   /// Initial strength per link type; empty = all ones (paper default).
   std::vector<double> initial_gamma;
 
@@ -149,7 +125,7 @@ struct GenClusConfig {
   /// and seed counts >= 1, tolerances finite and non-negative, floors and
   /// the gamma prior positive, and initial_gamma (when non-empty) sized
   /// for `num_link_types` with finite non-negative entries. Called at the
-  /// top of Engine::Fit and GenClus::Run; surfaced here so callers can
+  /// top of Engine::Fit and Engine::Refit; surfaced here so callers can
   /// reject a bad config before paying for data loading.
   Status Validate(size_t num_link_types) const;
 };

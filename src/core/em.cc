@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/check.h"
@@ -113,16 +112,6 @@ void EmWorkspace::Prepare(size_t num_nodes, size_t num_clusters,
       beta_transpose_[t] = Matrix(attributes[t]->vocab_size(), num_clusters);
     }
   }
-
-  // Convergence-aware skip state starts disarmed for a new shape; the
-  // merge buffer clones block 0's accumulator shapes.
-  block_quiet_.assign(num_blocks, 0);
-  block_skip_.assign(num_blocks, 0);
-  block_dependents_.clear();
-  dependents_ready_ = false;
-  last_gamma_.clear();
-  last_sweep_skipped_ = 0;
-  merged_acc_ = block_acc_[0];
 }
 
 void EmWorkspace::PrepareSharding(const Network& network,
@@ -219,8 +208,7 @@ void EmOptimizer::AccumulateLinkTerm(const std::vector<double>& gamma,
 
 double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
                               std::vector<AttributeComponents>* components,
-                              EmWorkspace* ws, double* entry_objective,
-                              bool allow_block_skip) const {
+                              EmWorkspace* ws, double* entry_objective) const {
   GENCLUS_CHECK(theta != nullptr && components != nullptr && ws != nullptr);
   GENCLUS_CHECK_EQ(theta->rows(), network_->num_nodes());
   GENCLUS_CHECK_EQ(theta->cols(), config_->num_clusters);
@@ -248,41 +236,8 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
     ws->block_objective_[0] = 0.0;
   }
 
-  // Convergence-aware skip decisions, made serially before the sweep from
-  // last sweep's deterministic per-block deltas: a block quiet for
-  // block_convergence_sweeps consecutive sweeps is carried forward. A
-  // traced sweep must evaluate every block, so skipping disengages while
-  // an objective rides along.
-  const double block_tol = config_->block_convergence_tol;
-  const bool adaptive = allow_block_skip && block_tol > 0.0 && !track && n > 0;
-  if (adaptive) {
-    // A gamma change (a new outer iteration) rescales every link term, so
-    // cached quiet streaks no longer mean anything.
-    if (ws->last_gamma_ != gamma) {
-      std::fill(ws->block_quiet_.begin(), ws->block_quiet_.end(), 0);
-      ws->last_gamma_ = gamma;
-    }
-    if (!ws->dependents_ready_) BuildBlockDependents(ws);
-    for (size_t b = 0; b < num_blocks; ++b) {
-      ws->block_skip_[b] =
-          ws->block_quiet_[b] >= config_->block_convergence_sweeps ? 1 : 0;
-    }
-  } else {
-    std::fill(ws->block_skip_.begin(), ws->block_skip_.end(), 0);
-  }
-
   ForEachFixedGrainBlock(pool_, n, kEmBlockGrain, [&](size_t b, size_t begin,
                                                       size_t end) {
-    if (ws->block_skip_[b]) {
-      // Carried block: Theta rows pass through unchanged, the component
-      // statistics cached from the block's last computed sweep are merged
-      // as-is below, and block_delta_ keeps its frozen value (< block_tol,
-      // so it can never stall the global convergence test).
-      std::memcpy(new_theta_data + begin * num_clusters,
-                  theta_data + begin * num_clusters,
-                  (end - begin) * num_clusters * sizeof(double));
-      return;
-    }
     std::vector<EmComponentAccumulator>& acc = ws->block_acc_[b];
     for (auto& a : acc) ZeroAccumulator(&a);
     double* resp = ws->scratch_.data() + b * 4 * num_clusters;
@@ -429,65 +384,14 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
     for (size_t b = 0; b < num_blocks; ++b) obj += ws->block_objective_[b];
     *entry_objective = obj;
   }
-  // Fold the per-block statistics in block order into the dedicated merge
-  // buffer — never into block 0's slot, whose cached statistics a skipped
-  // block 0 must be able to reuse next sweep. Seeding the buffer with a
-  // copy of block 0 keeps the addition chain bitwise identical to the old
-  // in-place merge.
-  std::vector<EmComponentAccumulator>& merged = ws->merged_acc_;
-  for (size_t t = 0; t < attributes_.size(); ++t) {
-    merged[t] = ws->block_acc_[0][t];
-  }
   for (size_t b = 1; b < num_blocks; ++b) {
     for (size_t t = 0; t < attributes_.size(); ++t) {
-      MergeAccumulator(&merged[t], ws->block_acc_[b][t]);
+      MergeAccumulator(&ws->block_acc_[0][t], ws->block_acc_[b][t]);
     }
   }
-  UpdateComponents(merged, components);
+  UpdateComponents(ws->block_acc_[0], components);
   std::swap(*theta, ws->new_theta_);
-
-  size_t skipped = 0;
-  if (adaptive) {
-    // Saturating quiet streaks (a skipped block's frozen delta keeps it
-    // quiet), then re-arm every reader of a block that moved this sweep:
-    // the reader's link term depends on the mover's Theta rows.
-    constexpr size_t kQuietCap = size_t{1} << 20;
-    for (size_t b = 0; b < num_blocks; ++b) {
-      if (ws->block_skip_[b]) ++skipped;
-      size_t& quiet = ws->block_quiet_[b];
-      quiet = ws->block_delta_[b] < block_tol ? std::min(quiet + 1, kQuietCap)
-                                              : 0;
-    }
-    for (size_t m = 0; m < num_blocks; ++m) {
-      if (ws->block_skip_[m] || ws->block_delta_[m] < block_tol) continue;
-      for (uint32_t reader : ws->block_dependents_[m]) {
-        ws->block_quiet_[reader] = 0;
-      }
-    }
-  }
-  ws->last_sweep_skipped_ = skipped;
   return delta;
-}
-
-void EmOptimizer::BuildBlockDependents(EmWorkspace* ws) const {
-  const size_t num_blocks = NumBlocks();
-  ws->block_dependents_.assign(num_blocks, {});
-  // stamp[m] = last reader block recorded for target m. Nodes iterate in
-  // ascending order, so each reader's inserts arrive contiguously and the
-  // stamp dedups them in O(1); every list comes out sorted ascending.
-  std::vector<uint32_t> stamp(num_blocks,
-                              std::numeric_limits<uint32_t>::max());
-  for (NodeId v = 0; v < network_->num_nodes(); ++v) {
-    const uint32_t reader = static_cast<uint32_t>(v / kEmBlockGrain);
-    for (const LinkEntry& e : network_->OutLinks(v)) {
-      const uint32_t target =
-          static_cast<uint32_t>(e.neighbor / kEmBlockGrain);
-      if (stamp[target] == reader) continue;
-      stamp[target] = reader;
-      ws->block_dependents_[target].push_back(reader);
-    }
-  }
-  ws->dependents_ready_ = true;
 }
 
 double EmOptimizer::FusedObjective(
@@ -768,11 +672,6 @@ EmStats EmOptimizer::Run(const std::vector<double>& gamma, Matrix* theta,
                          EmWorkspace* workspace, bool track_objective) const {
   GENCLUS_CHECK(workspace != nullptr);
   EmStats stats;
-  stats.blocks = NumBlocks();
-  // A traced run evaluates every block every sweep (the fused trace must
-  // be exact), so convergence-aware skipping engages only untraced.
-  const bool adaptive =
-      !track_objective && config_->block_convergence_tol > 0.0;
   for (size_t iter = 0; iter < config_->em_iterations; ++iter) {
     // The sweep of iteration t evaluates g1 at its entry iterate for free,
     // which is exactly the post-iteration value of iteration t-1 (useless
@@ -782,22 +681,14 @@ EmStats EmOptimizer::Run(const std::vector<double>& gamma, Matrix* theta,
     const bool want_entry = track_objective && iter > 0;
     const double delta =
         FusedStep(gamma, theta, components, workspace,
-                  want_entry ? &entry_objective : nullptr,
-                  /*allow_block_skip=*/!track_objective);
+                  want_entry ? &entry_objective : nullptr);
     if (want_entry) stats.objective_trace.push_back(entry_objective);
-    if (adaptive) {
-      stats.skipped_per_sweep.push_back(workspace->last_sweep_skipped_);
-    }
     stats.iterations = iter + 1;
     stats.final_delta = delta;
     if (delta < config_->em_tolerance) {
       stats.converged = true;
       break;
     }
-  }
-  if (stats.iterations > 0) {
-    stats.final_block_deltas.assign(workspace->block_delta_.begin(),
-                                    workspace->block_delta_.end());
   }
   if (track_objective && stats.iterations > 0) {
     stats.objective_trace.push_back(

@@ -55,15 +55,6 @@ struct EmStats {
   std::vector<double> objective_trace;
   /// Max |Theta_t - Theta_{t-1}| at the last iteration.
   double final_delta = 0.0;
-  /// Reduction blocks the node range was cut into — the denominator of
-  /// the skip accounting (one "block sweep" per block per iteration).
-  size_t blocks = 0;
-  /// Block sweeps skipped by convergence-aware skipping, one entry per EM
-  /// iteration. Empty unless GenClusConfig::block_convergence_tol > 0.
-  std::vector<size_t> skipped_per_sweep;
-  /// Per-block max |Theta| change at the last iteration (a block skipped
-  /// there reports the frozen delta of its last computed sweep).
-  std::vector<double> final_block_deltas;
 };
 
 // Per-attribute M-step statistics of one reduction block.
@@ -127,27 +118,6 @@ class EmWorkspace {
   bool shard_ready_ = false;
   ShardPartition shard_partition_;
   std::vector<CsrColumnSplit> shard_splits_;  // indexed by LinkTypeId
-
-  // Convergence-aware skip state (GenClusConfig::block_convergence_tol).
-  // Everything here is a pure function of the deterministic per-block
-  // deltas, the fixed block graph and the gamma vector, so the skip
-  // decisions — and therefore the fitted model — stay bitwise invariant
-  // to thread count x shard count.
-  std::vector<size_t> block_quiet_;   // consecutive sweeps below tolerance
-  std::vector<uint8_t> block_skip_;   // this sweep's skip decision
-  // block_dependents_[m]: blocks holding at least one out-link into block
-  // m. They read m's Theta rows, so when m moves they are re-armed.
-  std::vector<std::vector<uint32_t>> block_dependents_;
-  bool dependents_ready_ = false;
-  // Gamma of the previous sweep: a gamma change (a new outer iteration)
-  // invalidates every block's link term, so all quiet counts reset.
-  std::vector<double> last_gamma_;
-  size_t last_sweep_skipped_ = 0;
-  // Merge destination of the per-block component statistics. A separate
-  // buffer — not block 0's slot, which the pre-skip code merged into
-  // destructively — so a skipped block's cached statistics survive the
-  // merge and can be reused next sweep.
-  std::vector<EmComponentAccumulator> merged_acc_;
 };
 
 /// Runs the EM loop of Algorithm 1's Step 1 for fixed gamma.
@@ -201,19 +171,10 @@ class EmOptimizer {
  private:
   // Kernel-path sweep: one EM iteration reusing `workspace`. When
   // `entry_objective` is non-null, also computes g1 at the *input* iterate
-  // (theta, components) fused into the same traversal. Convergence-aware
-  // block skipping engages only when `allow_block_skip`, the config
-  // tolerance is non-zero and no objective is being traced (a traced run
-  // must evaluate every block exactly).
+  // (theta, components) fused into the same traversal.
   double FusedStep(const std::vector<double>& gamma, Matrix* theta,
                    std::vector<AttributeComponents>* components,
-                   EmWorkspace* workspace, double* entry_objective,
-                   bool allow_block_skip = true) const;
-
-  // Builds workspace->block_dependents_: for each target block m, the
-  // ascending list of blocks holding at least one out-link into m. Pure
-  // function of the network and kEmBlockGrain.
-  void BuildBlockDependents(EmWorkspace* workspace) const;
+                   EmWorkspace* workspace, double* entry_objective) const;
 
   // Link part of the fused sweeps: out rows [begin, end) +=
   // sum_r gamma_r (W_r Theta), each relation computed per column shard in

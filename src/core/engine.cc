@@ -1,13 +1,20 @@
 #include "core/engine.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/logging.h"
 #include "common/mutex.h"
+#include "common/random.h"
 #include "common/thread_annotations.h"
 #include "common/string_util.h"
-#include "common/timer.h"
+#include "core/em.h"
+#include "core/init.h"
+#include "core/objective.h"
+#include "core/strength.h"
 
 namespace genclus {
 
@@ -36,59 +43,128 @@ Status Engine::ResolveAttributes(const Dataset& dataset,
   return Status::OK();
 }
 
-FitResult Engine::AssembleFitResult(const Schema& schema, GenClusResult run,
-                                    std::vector<ModelAttributeInfo> info,
-                                    size_t theta_shards_request,
-                                    double total_seconds) {
-  FitResult out;
-  out.model.theta = std::move(run.theta);
-  // Stamp the resolved shard count the fit ran with, so serving adopts
-  // the same partition by default and both model formats persist it.
-  out.model.theta_shards =
-      ShardPartition::Resolve(theta_shards_request, out.model.theta.rows())
-          .num_shards();
-  out.model.gamma = std::move(run.gamma);
-  out.model.components = std::move(run.components);
-  out.model.attributes = std::move(info);
-  out.model.objective = run.objective;
-  out.model.link_types.reserve(schema.num_link_types());
-  for (LinkTypeId r = 0; r < schema.num_link_types(); ++r) {
-    out.model.link_types.push_back(schema.link_type(r).name);
+Result<FitResult> Engine::RunAlgorithm1(
+    const Dataset& dataset, const std::vector<const Attribute*>& attrs,
+    const GenClusConfig& config, ProgressObserver* observer,
+    const CancellationToken* cancellation, Model model,
+    const WallTimer& timer) {
+  const Network& network = dataset.network;
+  const Schema& schema = network.schema();
+  const size_t num_relations = schema.num_link_types();
+  std::unique_ptr<ThreadPool> pool;
+  if (config.num_threads != 1) {
+    pool = std::make_unique<ThreadPool>(config.num_threads);
   }
-  out.report.converged = run.converged;
-  out.report.objective = run.objective;
-  out.report.outer_iterations =
-      run.trace.empty() ? 0 : run.trace.size() - 1;
-  out.report.em_blocks_skipped = run.em_blocks_skipped;
-  out.report.em_final_block_deltas = std::move(run.em_final_block_deltas);
-  out.report.trace = std::move(run.trace);
-  for (const OuterIterationRecord& record : out.report.trace) {
+  Rng rng(config.seed);
+  EmOptimizer optimizer(&network, attrs, &config, pool.get());
+  // One workspace for every EM phase of the outer loop: the problem shape
+  // never changes, so all EM scratch is allocated exactly once per fit.
+  EmWorkspace em_workspace;
+
+  // gamma^0: all link types equally important unless overridden (§4.3).
+  std::vector<double> gamma = config.initial_gamma.empty()
+                                  ? std::vector<double>(num_relations, 1.0)
+                                  : config.initial_gamma;
+  FitResult out;
+  {
+    OuterIterationRecord initial;
+    initial.iteration = 0;
+    initial.gamma = gamma;
+    out.report.trace.push_back(std::move(initial));
+  }
+
+  // Theta'_0, beta'_0: the caller's warm start (Refit) or best-of-seeds
+  // (§4.3 initialization) for Fit's default-constructed 0 x 0 Theta.
+  if (model.theta.cols() == 0) {
+    BestOfSeedsInit(optimizer, network, attrs, config, gamma, &rng,
+                    &model.theta, &model.components);
+  }
+
+  for (size_t outer = 1; outer <= config.outer_iterations; ++outer) {
+    if (cancellation && cancellation->IsCancellationRequested()) {
+      return Status::Cancelled(StrFormat(
+          "training cancelled before outer iteration %zu", outer));
+    }
+    OuterIterationRecord record;
+    record.iteration = outer;
+
+    // Step 1: optimize Theta, beta for fixed gamma.
+    WallTimer em_timer;
+    const EmStats em_stats = optimizer.Run(gamma, &model.theta,
+                                           &model.components, &em_workspace);
+    record.em_seconds = em_timer.Seconds();
+    record.em_iterations = em_stats.iterations;
+    record.em_objective = G1Objective(network, attrs, model.components,
+                                      model.theta, gamma);
+
+    // Step 2: optimize gamma for fixed Theta.
+    double gamma_delta = 0.0;
+    WallTimer strength_timer;
+    if (config.learn_strengths) {
+      StrengthLearner learner(&network, &model.theta, &config, pool.get());
+      StrengthStats strength_stats;
+      std::vector<double> new_gamma = learner.Learn(gamma, &strength_stats);
+      for (size_t r = 0; r < num_relations; ++r) {
+        gamma_delta = std::max(gamma_delta,
+                               std::fabs(new_gamma[r] - gamma[r]));
+      }
+      gamma = std::move(new_gamma);
+      record.strength_objective = strength_stats.objective;
+    }
+    record.strength_seconds = strength_timer.Seconds();
+    record.gamma = gamma;
+
+    GENCLUS_LOGS(Info) << "GenClus outer " << outer
+                       << ": g1=" << record.em_objective
+                       << " em_iters=" << em_stats.iterations
+                       << " gamma_delta=" << gamma_delta;
+
     out.report.em_seconds += record.em_seconds;
     out.report.strength_seconds += record.strength_seconds;
+    out.report.trace.push_back(std::move(record));
+    if (observer) {
+      observer->OnOuterIteration(out.report.trace.back(), model.theta);
+    }
+
+    if (config.learn_strengths && outer > 1 &&
+        gamma_delta < config.outer_tolerance) {
+      out.report.converged = true;
+      break;
+    }
   }
-  out.report.total_seconds = total_seconds;
+
+  model.objective = G1Objective(network, attrs, model.components,
+                                model.theta, gamma);
+  model.gamma = std::move(gamma);
+  // Stamp the resolved shard count the fit ran with, so serving adopts
+  // the same partition by default and both model formats persist it.
+  model.theta_shards =
+      ShardPartition::Resolve(config.theta_shards, model.theta.rows())
+          .num_shards();
+  model.link_types.reserve(num_relations);
+  for (LinkTypeId r = 0; r < num_relations; ++r) {
+    model.link_types.push_back(schema.link_type(r).name);
+  }
+  out.report.objective = model.objective;
+  out.report.outer_iterations = out.report.trace.size() - 1;
+  out.report.total_seconds = timer.Seconds();
+  out.model = std::move(model);
   return out;
 }
 
 Result<FitResult> Engine::Fit(const Dataset& dataset,
                               const FitOptions& options) {
   GENCLUS_RETURN_IF_ERROR(dataset.Validate());
-  const Schema& schema = dataset.network.schema();
   GENCLUS_RETURN_IF_ERROR(
-      options.config.Validate(schema.num_link_types()));
+      options.config.Validate(dataset.network.schema().num_link_types()));
 
   std::vector<const Attribute*> attrs;
-  std::vector<ModelAttributeInfo> attr_info;
-  GENCLUS_RETURN_IF_ERROR(
-      ResolveAttributes(dataset, options.attributes, &attrs, &attr_info));
-
+  Model model;
+  GENCLUS_RETURN_IF_ERROR(ResolveAttributes(dataset, options.attributes,
+                                            &attrs, &model.attributes));
   WallTimer timer;
-  GenClus algorithm(&dataset.network, std::move(attrs), options.config);
-  algorithm.SetProgressObserver(options.observer);
-  algorithm.SetCancellationToken(options.cancellation);
-  GENCLUS_ASSIGN_OR_RETURN(GenClusResult run, algorithm.Run());
-  return AssembleFitResult(schema, std::move(run), std::move(attr_info),
-                           options.config.theta_shards, timer.Seconds());
+  return RunAlgorithm1(dataset, attrs, options.config, options.observer,
+                       options.cancellation, std::move(model), timer);
 }
 
 // Batch planner plus a pool of InferSessions. Sessions are created

@@ -2,9 +2,11 @@
 //
 // Training: Engine::Fit(dataset, options) runs Algorithm 1 once and
 // returns a persistable Model plus a structured FitReport — convergence,
-// objective, timings and the per-iteration trace. Progress streaming and
-// cooperative cancellation go through FitOptions (ProgressObserver /
-// CancellationToken), replacing the old SetIterationCallback.
+// objective, timings and the per-iteration trace. Engine::Refit
+// (core/update.h) runs the same loop warm-started from a previous model;
+// the two are the library's only training entry points. Progress
+// streaming and cooperative cancellation go through FitOptions
+// (ProgressObserver / CancellationToken).
 //
 // Serving: Engine::Create(network, model) builds a reusable serving object
 // that owns a ThreadPool and answers membership queries for new objects
@@ -35,12 +37,37 @@
 #include "common/cancellation.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/genclus.h"
+#include "common/timer.h"
+#include "core/config.h"
 #include "core/inference.h"
 #include "core/model.h"
 #include "hin/dataset.h"
+#include "linalg/matrix.h"
 
 namespace genclus {
+
+/// Snapshot of one outer iteration, for convergence traces (Fig. 10).
+struct OuterIterationRecord {
+  size_t iteration = 0;
+  std::vector<double> gamma;     // strengths after this iteration
+  double em_objective = 0.0;     // g1 after the EM step
+  double strength_objective = 0.0;  // g2' after the Newton step
+  size_t em_iterations = 0;
+  double em_seconds = 0.0;
+  double strength_seconds = 0.0;
+};
+
+/// Observer notified after every outer iteration of a training run with
+/// the iteration record and the current memberships. Implementations must
+/// not retain the Matrix reference beyond the call. Pass via
+/// FitOptions::observer or RefitOptions::observer (core/update.h).
+class ProgressObserver {
+ public:
+  virtual ~ProgressObserver() = default;
+
+  virtual void OnOuterIteration(const OuterIterationRecord& record,
+                                const Matrix& theta) = 0;
+};
 
 /// Training-surface options: which attributes to cluster by, the algorithm
 /// configuration, and optional progress/cancellation hooks (not owned;
@@ -74,13 +101,6 @@ struct FitReport {
   double strength_seconds = 0.0;
   /// Per-outer-iteration records, including the initial gamma at index 0.
   std::vector<OuterIterationRecord> trace;
-  /// Block sweeps skipped by convergence-aware EM skipping, summed over
-  /// every EM phase (0 unless config.block_convergence_tol > 0; the
-  /// per-iteration split is in the trace).
-  size_t em_blocks_skipped = 0;
-  /// Per-block max |Theta| change at the last EM sweep of the final outer
-  /// iteration (frozen values for blocks skipped there).
-  std::vector<double> em_final_block_deltas;
 };
 
 /// Result of Engine::Fit: the trained artifact plus the run summary.
@@ -175,13 +195,21 @@ class Engine {
                                   std::vector<const Attribute*>* attrs,
                                   std::vector<ModelAttributeInfo>* info);
 
-  // Shared by Fit and Refit: packages a finished GenClus run into the
-  // Model + FitReport pair, stamping the resolved shard count and the
-  // schema's link-type names.
-  static FitResult AssembleFitResult(const Schema& schema, GenClusResult run,
-                                     std::vector<ModelAttributeInfo> info,
-                                     size_t theta_shards_request,
-                                     double total_seconds);
+  // Algorithm 1, the one training loop behind Fit and Refit. Starts from
+  // `model`'s Theta and components when Theta has columns (Refit's warm
+  // start), else from best-of-seeds initialization (Fit). Per outer
+  // iteration: EM over Theta/beta for fixed gamma on one shared
+  // workspace, g1, then Newton over gamma and the gamma-change test; a
+  // final g1 closes the run. Writes the result into `model` — stamping
+  // the resolved shard count and the schema's link-type names — and the
+  // run summary into the report; `config` must already be validated and
+  // `attrs` aligned with model.attributes. total_seconds is read from
+  // `timer`.
+  static Result<FitResult> RunAlgorithm1(
+      const Dataset& dataset, const std::vector<const Attribute*>& attrs,
+      const GenClusConfig& config, ProgressObserver* observer,
+      const CancellationToken* cancellation, Model model,
+      const WallTimer& timer);
 
   const Network* network_;
   // Heap-held so the planner/session pointers into the model survive

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/string_util.h"
+#include "core/engine.h"
 #include "core/objective.h"
 
 namespace genclus {
@@ -54,18 +55,19 @@ Result<ModelSelectionResult> SelectNumClusters(
 
   ModelSelectionResult result;
   double best_score = std::numeric_limits<double>::infinity();
+  FitOptions options;
+  options.attributes = attributes;
   for (size_t k = min_clusters; k <= max_clusters; ++k) {
-    GenClusConfig k_config = config;
-    k_config.num_clusters = k;
-    GENCLUS_ASSIGN_OR_RETURN(GenClusResult fit,
-                             RunGenClus(dataset, attributes, k_config));
+    options.config = config;
+    options.config.num_clusters = k;
+    GENCLUS_ASSIGN_OR_RETURN(FitResult fit, Engine::Fit(dataset, options));
     // Attribute log-likelihood at the fit.
     std::vector<const Attribute*> attrs;
     for (const std::string& name : attributes) {
       attrs.push_back(&dataset.attributes[dataset.FindAttribute(name)]);
     }
-    const double log_likelihood =
-        TotalAttributeLogLikelihood(attrs, fit.components, fit.theta);
+    const double log_likelihood = TotalAttributeLogLikelihood(
+        attrs, fit.model.components, fit.model.theta);
 
     ModelSelectionEntry entry;
     entry.num_clusters = k;

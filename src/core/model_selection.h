@@ -1,17 +1,17 @@
 // Model selection for the number of clusters K. §2.2 leaves choosing K to
-// standard criteria (AIC/BIC); this helper runs GenClus over a K range and
-// scores each fit. The likelihood term is the attribute log-likelihood
+// standard criteria (AIC/BIC); this helper runs Engine::Fit over a K range
+// and scores each fit. The likelihood term is the attribute log-likelihood
 // (the structural term's partition function is intractable and identical
 // pressure applies at every K, so it is excluded — a common pragmatic
 // choice for network-regularized mixtures).
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/config.h"
-#include "core/genclus.h"
 #include "hin/dataset.h"
 
 namespace genclus {
@@ -41,7 +41,7 @@ double CountModelParameters(const Dataset& dataset,
                             const std::vector<std::string>& attributes,
                             size_t num_clusters);
 
-/// Fits GenClus for each K in [min_clusters, max_clusters] (config's
+/// Fits a model for each K in [min_clusters, max_clusters] (config's
 /// num_clusters is overridden) and scores with the criterion. The sample
 /// size for BIC is the total observation count of the specified
 /// attributes.

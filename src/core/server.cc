@@ -330,10 +330,12 @@ void Server::UpdateDegradation(double queue_wait_ewma_us) {
 }
 
 bool Server::Enqueue(Request request, Status* rejection) {
-  if (queue_.TryPush(std::move(request))) {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
+  // Count the admission before the request becomes visible to workers, so
+  // no worker can count its completion first; roll it back if the push
+  // fails. Stats() relies on this order (see ServerStats).
+  accepted_.fetch_add(1, std::memory_order_relaxed);
+  if (queue_.TryPush(std::move(request))) return true;
+  accepted_.fetch_sub(1, std::memory_order_relaxed);
   rejected_.fetch_add(1, std::memory_order_relaxed);
   *rejection = queue_.closed()
                    ? Status::FailedPrecondition("server is stopped")
@@ -470,8 +472,9 @@ void Server::Deliver(Request& request, const InferenceResult& result,
                      std::chrono::steady_clock::time_point dequeued_at,
                      std::chrono::steady_clock::time_point now) {
   // Counted BEFORE the promise is fulfilled: a caller that just resolved
-  // its future must see stats that already include that query.
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  // its future must see stats that already include that query. Release
+  // pairs with Stats()' acquire load (see ServerStats).
+  completed_.fetch_add(1, std::memory_order_release);
   const Status& status = result.statuses[row];
   const bool mark_degraded = degraded && status.ok();
   if (mark_degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
@@ -501,7 +504,7 @@ void Server::Deliver(Request& request, const InferenceResult& result,
 
 void Server::Shed(Request& request,
                   std::chrono::steady_clock::time_point dequeued_at) {
-  deadline_shed_.fetch_add(1, std::memory_order_relaxed);  // before fulfillment
+  deadline_shed_.fetch_add(1, std::memory_order_release);  // before fulfillment
   Status status =
       Status::DeadlineExceeded("deadline expired before execution");
   if (request.collector != nullptr) {
@@ -521,7 +524,7 @@ void Server::Shed(Request& request,
 
 void Server::Fail(Request& request, Status status,
                   std::atomic<size_t>* counter) {
-  counter->fetch_add(1, std::memory_order_relaxed);  // before fulfillment
+  counter->fetch_add(1, std::memory_order_release);  // before fulfillment
   if (request.collector != nullptr) {
     CompleteCollectorSlot(*request.collector, request.slot,
                           std::move(status), /*membership=*/nullptr,
@@ -714,13 +717,16 @@ void Server::WorkerLoop() {
 
 ServerStats Server::Stats() const {
   ServerStats out;
+  // Outcomes first, admissions last: each acquire load below sees every
+  // admission counted before the requests it reports finished, so the
+  // snapshot never shows more finished requests than admitted ones.
+  out.completed = completed_.load(std::memory_order_acquire);
+  out.cancelled = cancelled_.load(std::memory_order_acquire);
+  out.deadline_shed = deadline_shed_.load(std::memory_order_acquire);
   out.accepted = accepted_.load(std::memory_order_relaxed);
   out.rejected = rejected_.load(std::memory_order_relaxed);
   out.deadline_rejected =
       deadline_rejected_.load(std::memory_order_relaxed);
-  out.completed = completed_.load(std::memory_order_relaxed);
-  out.cancelled = cancelled_.load(std::memory_order_relaxed);
-  out.deadline_shed = deadline_shed_.load(std::memory_order_relaxed);
   out.degraded = degraded_.load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
   out.current_inference_iterations =

@@ -186,7 +186,10 @@ struct LatencySummary {
   double max_us = 0.0;
 };
 
-/// Observability snapshot of a running Server (Server::Stats()).
+/// Observability snapshot of a running Server (Server::Stats()). Every
+/// snapshot satisfies completed + cancelled + deadline_shed <= accepted,
+/// with equality once the server is quiescent (no request queued or in
+/// flight).
 struct ServerStats {
   /// Requests admitted into the queue (including not-yet-executed ones).
   size_t accepted = 0;

@@ -186,41 +186,36 @@ Result<FitResult> Engine::Refit(const Dataset& dataset,
         "(refit supports growth, not shrinkage)", prev_rows, n));
   }
 
-  // K is pinned by the previous model, gamma and warm start carry over.
+  // K is pinned by the previous model and gamma carries over.
   GenClusConfig config = options.config;
   config.num_clusters = num_clusters;
-  config.warm_start = true;
   if (config.initial_gamma.empty()) config.initial_gamma = prev_model.gamma;
   GENCLUS_RETURN_IF_ERROR(config.Validate(schema.num_link_types()));
 
   std::vector<const Attribute*> attrs;
-  std::vector<ModelAttributeInfo> attr_info;
-  GENCLUS_RETURN_IF_ERROR(ResolveAttributes(
-      dataset, ModelAttributeNames(prev_model), &attrs, &attr_info));
+  Model model;
+  GENCLUS_RETURN_IF_ERROR(ResolveAttributes(dataset,
+                                            ModelAttributeNames(prev_model),
+                                            &attrs, &model.attributes));
 
   WallTimer timer;
   // Warm Theta: survivors keep their rows, new nodes are seeded by the
   // fold-in update in ascending id order (each seed may read earlier
   // seeds — links among new nodes still contribute).
-  Matrix theta(n, num_clusters);
+  model.theta = Matrix(n, num_clusters);
   for (size_t v = 0; v < prev_rows; ++v) {
     std::copy(prev_model.theta.Row(v), prev_model.theta.Row(v) + num_clusters,
-              theta.Row(v));
+              model.theta.Row(v));
   }
   for (size_t v = prev_rows; v < n; ++v) {
-    FoldInRow(dataset.network, static_cast<NodeId>(v), theta,
+    FoldInRow(dataset.network, static_cast<NodeId>(v), model.theta,
               /*valid_rows=*/v, config.initial_gamma, attrs,
               prev_model.components, options.seed_sweeps,
-              config.theta_floor, theta.Row(v));
+              config.theta_floor, model.theta.Row(v));
   }
-
-  GenClus algorithm(&dataset.network, attrs, config);
-  algorithm.SetWarmStart(std::move(theta), prev_model.components);
-  algorithm.SetProgressObserver(options.observer);
-  algorithm.SetCancellationToken(options.cancellation);
-  GENCLUS_ASSIGN_OR_RETURN(GenClusResult run, algorithm.Run());
-  return AssembleFitResult(schema, std::move(run), std::move(attr_info),
-                           config.theta_shards, timer.Seconds());
+  model.components = prev_model.components;
+  return RunAlgorithm1(dataset, attrs, config, options.observer,
+                       options.cancellation, std::move(model), timer);
 }
 
 Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
@@ -251,13 +246,15 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
 
   WallTimer timer;
   UpdateReport report;
-  // Grow the dataset delta by delta (each delta's ids address the network
-  // as of its turn) and collect the touched survivors.
+  // Grow a staged copy delta by delta (each delta's ids address the
+  // network as of its turn) and collect the touched survivors. The caller's
+  // dataset is replaced only once every delta has applied, so a failing
+  // delta leaves both the dataset and the model untouched.
+  Dataset staged;
   std::vector<NodeId> touched_ids;
   for (const NetworkDelta& delta : deltas) {
-    GENCLUS_ASSIGN_OR_RETURN(Dataset grown,
-                             ApplyNetworkDelta(*dataset, delta));
-    *dataset = std::move(grown);
+    const Dataset& current = report.deltas_applied == 0 ? *dataset : staged;
+    GENCLUS_ASSIGN_OR_RETURN(staged, ApplyNetworkDelta(current, delta));
     for (const DeltaLink& link : delta.links) {
       touched_ids.push_back(link.src);
     }
@@ -269,6 +266,7 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
     report.new_links += delta.links.size();
     report.new_observations += delta.observations.size();
   }
+  if (report.deltas_applied > 0) *dataset = std::move(staged);
   const size_t n = dataset->network.num_nodes();
 
   std::vector<const Attribute*> attrs;

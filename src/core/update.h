@@ -15,9 +15,7 @@
 //     previous Model. Surviving nodes keep their Theta rows, new nodes
 //     are seeded by the fold-in path, and components/gamma carry over, so
 //     convergence costs iterations-to-delta instead of
-//     iterations-from-scratch. Combine with
-//     GenClusConfig::block_convergence_tol to also skip already-converged
-//     node blocks inside each sweep.
+//     iterations-from-scratch.
 //
 //   * Engine::Fit — the from-scratch baseline.
 //
@@ -82,8 +80,7 @@ struct UpdateReport {
 /// its last fitted value (stale until the next Refit). Requires
 /// model->num_nodes() == dataset->network.num_nodes() on entry and the
 /// model's attribute/link-type metadata to match the dataset's schema.
-/// On error the dataset may have grown by a prefix of the deltas, but the
-/// model is only ever mutated after every delta validated and applied.
+/// All-or-nothing: on error neither the dataset nor the model changes.
 Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
                                   std::span<const NetworkDelta> deltas,
                                   const UpdateOptions& options = {});

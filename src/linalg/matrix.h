@@ -106,7 +106,7 @@ Vector Scaled(const Vector& v, double s);
 double MaxAbsDiff(const Vector& a, const Vector& b);
 
 /// Index of the max entry per row (first wins on ties). The hard-label
-/// readout shared by Model/GenClusResult::HardLabels and the benches.
+/// readout shared by Model::HardLabels and the benches.
 std::vector<uint32_t> RowArgMax(const Matrix& m);
 
 }  // namespace genclus

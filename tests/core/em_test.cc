@@ -7,7 +7,6 @@
 
 #include <cmath>
 
-#include "common/check.h"
 #include "core/init.h"
 #include "core/objective.h"
 #include "prob/simplex.h"
@@ -469,171 +468,6 @@ TEST_F(EmFixture, WorkspaceReuseDoesNotChangeResults) {
   }
   EXPECT_EQ(theta_shared.data(), theta_fresh.data());
   EXPECT_EQ(comps_shared[0].beta().data(), comps_fresh[0].beta().data());
-}
-
-// A dataset engineered so block skipping provably engages. Nodes
-// [0, 256) — reduction blocks 0 and 1 — are a "settled" region of
-// disjoint 4-cliques with no attribute observations and no out-links
-// into the rest of the graph; uniform rows are an exact fixed point of
-// their update (each row becomes the normalized average of its three
-// clique peers), so both blocks go quiet from the first sweep. Nodes
-// [256, 640) are two planted text communities that keep moving from a
-// random start. The moving nodes link INTO the settled region, which
-// must NOT wake it: re-arming follows out-links into a mover, and the
-// settled region has none.
-Dataset MakeSkipFixture() {
-  Schema schema;
-  const ObjectTypeId doc = schema.AddObjectType("doc").value();
-  const LinkTypeId dd = schema.AddLinkType("dd", doc, doc).value();
-
-  constexpr size_t kSettled = 256;        // blocks 0..1
-  constexpr size_t kMovingPerSide = 192;  // blocks 2..4
-  constexpr size_t kTotal = kSettled + 2 * kMovingPerSide;
-
-  NetworkBuilder builder(schema);
-  for (size_t i = 0; i < kTotal; ++i) {
-    (void)builder.AddNode(doc).value();
-  }
-  for (size_t base = 0; base < kSettled; base += 4) {
-    for (size_t i = 0; i < 4; ++i) {
-      for (size_t j = 0; j < 4; ++j) {
-        if (i != j) {
-          GENCLUS_CHECK(builder.AddLink(base + i, base + j, dd, 1.0).ok());
-        }
-      }
-    }
-  }
-  for (size_t side = 0; side < 2; ++side) {
-    const size_t base = kSettled + side * kMovingPerSide;
-    for (size_t i = 0; i < kMovingPerSide; ++i) {
-      const NodeId u = static_cast<NodeId>(base + i);
-      const NodeId v =
-          static_cast<NodeId>(base + (i + 1) % kMovingPerSide);
-      GENCLUS_CHECK(builder.AddLink(u, v, dd, 1.0).ok());
-      GENCLUS_CHECK(builder.AddLink(v, u, dd, 1.0).ok());
-      // One-way link into the settled region (the re-arm honeypot).
-      GENCLUS_CHECK(
-          builder.AddLink(u, static_cast<NodeId>((base + i) % kSettled),
-                          dd, 1.0)
-              .ok());
-    }
-  }
-
-  Dataset out;
-  out.network = std::move(builder).Build().value();
-
-  Attribute text = Attribute::Categorical("text", 4, kTotal);
-  for (size_t side = 0; side < 2; ++side) {
-    const size_t base = kSettled + side * kMovingPerSide;
-    for (size_t i = 0; i < kMovingPerSide; ++i) {
-      const NodeId v = static_cast<NodeId>(base + i);
-      GENCLUS_CHECK(
-          text.AddTermCount(v, static_cast<uint32_t>(2 * side + i % 2), 3.0)
-              .ok());
-    }
-  }
-  out.attributes.push_back(std::move(text));
-
-  out.labels = Labels(kTotal);
-  for (size_t v = 0; v < kSettled; ++v) {
-    out.labels.Set(static_cast<NodeId>(v), static_cast<uint32_t>(v % 2));
-  }
-  for (size_t side = 0; side < 2; ++side) {
-    const size_t base = kSettled + side * kMovingPerSide;
-    for (size_t i = 0; i < kMovingPerSide; ++i) {
-      out.labels.Set(static_cast<NodeId>(base + i),
-                     static_cast<uint32_t>(side));
-    }
-  }
-  GENCLUS_CHECK(out.Validate().ok());
-  return out;
-}
-
-TEST(EmBlockSkipTest, SkipsConvergedBlocksAndStaysBitwiseInvariant) {
-  // Convergence-aware sweeps: with block_convergence_tol set, blocks
-  // whose per-block delta stayed quiet get skipped — and the skip
-  // decisions derive only from the deterministic per-block deltas, so
-  // the fitted iterate stays bitwise invariant to thread count x shard
-  // count. The settled half of MakeSkipFixture goes quiet immediately
-  // while the planted half keeps moving, so skipping has something to
-  // act on.
-  const Dataset dataset = MakeSkipFixture();
-  std::vector<const Attribute*> attrs = {&dataset.attributes[0]};
-  GenClusConfig config;
-  config.num_clusters = 2;
-  config.em_iterations = 60;
-  config.em_tolerance = 1e-6;
-  config.block_convergence_tol = 1e-6;
-  config.block_convergence_sweeps = 2;
-  const std::vector<double> gamma(1, 1.0);
-  Rng rng(62);
-  Matrix theta0 = RandomTheta(dataset.network.num_nodes(), 2, &rng);
-  for (size_t v = 0; v < 256; ++v) {
-    theta0.SetRow(static_cast<NodeId>(v), {0.5, 0.5});
-  }
-  const auto comps0 = InitialComponents(attrs, config, &rng);
-
-  // Reference: serial, 1 shard.
-  EmOptimizer serial(&dataset.network, attrs, &config, nullptr);
-  Matrix theta_ref = theta0;
-  auto comps_ref = comps0;
-  const EmStats ref_stats = serial.Run(gamma, &theta_ref, &comps_ref);
-  ASSERT_EQ(ref_stats.blocks, 5u);
-  ASSERT_EQ(ref_stats.skipped_per_sweep.size(), ref_stats.iterations);
-  ASSERT_EQ(ref_stats.final_block_deltas.size(), ref_stats.blocks);
-  size_t ref_skipped = 0;
-  for (size_t s : ref_stats.skipped_per_sweep) ref_skipped += s;
-  EXPECT_GT(ref_skipped, 0u) << "no block ever skipped — the knob is dead";
-
-  for (size_t threads : {2u, 8u}) {
-    for (size_t shards : {1u, 3u}) {
-      ThreadPool pool(threads);
-      GenClusConfig sharded = config;
-      sharded.theta_shards = shards;
-      EmOptimizer opt(&dataset.network, attrs, &sharded, &pool);
-      Matrix theta = theta0;
-      auto comps = comps0;
-      const EmStats stats = opt.Run(gamma, &theta, &comps);
-      EXPECT_EQ(theta.data(), theta_ref.data())
-          << threads << " threads, " << shards << " shards";
-      EXPECT_EQ(comps[0].beta().data(), comps_ref[0].beta().data())
-          << threads << " threads, " << shards << " shards";
-      // Same deltas -> same skip schedule, sweep by sweep.
-      EXPECT_EQ(stats.skipped_per_sweep, ref_stats.skipped_per_sweep)
-          << threads << " threads, " << shards << " shards";
-    }
-  }
-
-  // The skipped iterate is a tolerance-bounded approximation of the
-  // exact run: close, but not (necessarily) equal.
-  GenClusConfig exact = config;
-  exact.block_convergence_tol = 0.0;
-  EmOptimizer no_skip(&dataset.network, attrs, &exact, nullptr);
-  Matrix theta_exact = theta0;
-  auto comps_exact = comps0;
-  const EmStats exact_stats = no_skip.Run(gamma, &theta_exact, &comps_exact);
-  EXPECT_TRUE(exact_stats.skipped_per_sweep.empty());
-  EXPECT_LT(Matrix::MaxAbsDiff(theta_ref, theta_exact), 1e-3);
-}
-
-TEST(EmBlockSkipTest, ObjectiveTrackedRunsNeverSkip) {
-  // Skipping would freeze the cached per-block statistics the fused
-  // objective trace reads, so tracked runs disable it outright.
-  auto fixture = MakeTwoCommunityNetwork(300, 0.5, 63);
-  std::vector<const Attribute*> attrs = {&fixture.dataset.attributes[0]};
-  GenClusConfig config;
-  config.num_clusters = 2;
-  config.em_iterations = 20;
-  config.block_convergence_tol = 1e-5;
-  const std::vector<double> gamma(3, 1.0);
-  Rng rng(64);
-  Matrix theta = RandomTheta(fixture.dataset.network.num_nodes(), 2, &rng);
-  auto comps = InitialComponents(attrs, config, &rng);
-  EmOptimizer opt(&fixture.dataset.network, attrs, &config, nullptr);
-  const EmStats stats =
-      opt.Run(gamma, &theta, &comps, /*track_objective=*/true);
-  EXPECT_TRUE(stats.skipped_per_sweep.empty());
-  EXPECT_EQ(stats.objective_trace.size(), stats.iterations);
 }
 
 TEST(EstimateComponentsSmoothing, MatchesEmUpdateRuleExactly) {

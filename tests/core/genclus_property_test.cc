@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "core/strength.h"
 #include "eval/nmi.h"
 #include "prob/simplex.h"
@@ -30,6 +30,15 @@ void PrintTo(const SweepCase& c, std::ostream* os) {
       << " K=" << c.num_clusters << " seed=" << c.seed;
 }
 
+// One Engine::Fit over the fixture's text attribute.
+Result<FitResult> FitText(const Dataset& dataset,
+                          const GenClusConfig& config) {
+  FitOptions options;
+  options.attributes = {"text"};
+  options.config = config;
+  return Engine::Fit(dataset, options);
+}
+
 class GenClusSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(GenClusSweep, InvariantsHold) {
@@ -42,28 +51,29 @@ TEST_P(GenClusSweep, InvariantsHold) {
   config.em_iterations = 30;
   config.num_init_seeds = 2;
   config.seed = c.seed * 31 + 1;
-  auto result = RunGenClus(fixture.dataset, {"text"}, config);
+  auto result = FitText(fixture.dataset, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Invariant 1: every membership row on the simplex.
-  for (size_t v = 0; v < result->theta.rows(); ++v) {
-    EXPECT_TRUE(IsOnSimplex(result->theta.RowVector(v), 1e-9))
+  for (size_t v = 0; v < result->model.theta.rows(); ++v) {
+    EXPECT_TRUE(IsOnSimplex(result->model.theta.RowVector(v), 1e-9))
         << "node " << v;
   }
   // Invariant 2: strengths non-negative and finite.
-  for (double g : result->gamma) {
+  for (double g : result->model.gamma) {
     EXPECT_GE(g, 0.0);
     EXPECT_TRUE(std::isfinite(g));
   }
   // Invariant 3: objective finite.
-  EXPECT_TRUE(std::isfinite(result->objective));
+  EXPECT_TRUE(std::isfinite(result->model.objective));
   // Invariant 4: trace covers every iteration run.
-  EXPECT_GE(result->trace.size(), 2u);
+  EXPECT_GE(result->report.trace.size(), 2u);
 
   // Invariant 5: bit-identical replay.
-  auto replay = RunGenClus(fixture.dataset, {"text"}, config);
+  auto replay = FitText(fixture.dataset, config);
   ASSERT_TRUE(replay.ok());
-  EXPECT_DOUBLE_EQ(Matrix::MaxAbsDiff(result->theta, replay->theta), 0.0);
+  EXPECT_DOUBLE_EQ(
+      Matrix::MaxAbsDiff(result->model.theta, replay->model.theta), 0.0);
 }
 
 TEST_P(GenClusSweep, RecoversStructureWithFullText) {
@@ -78,9 +88,9 @@ TEST_P(GenClusSweep, RecoversStructureWithFullText) {
   config.em_iterations = 40;
   config.num_init_seeds = 3;
   config.seed = c.seed * 13 + 5;
-  auto result = RunGenClus(fixture.dataset, {"text"}, config);
+  auto result = FitText(fixture.dataset, config);
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(NormalizedMutualInformation(result->HardLabels(),
+  EXPECT_GT(NormalizedMutualInformation(result->model.HardLabels(),
                                         fixture.dataset.labels.raw()),
             0.85);
 }

@@ -2,8 +2,7 @@
 // fixture: accuracy must stay at NMI >= 0.9 and a fixed seed must reproduce
 // bit-identical hard labels run-to-run. These guard the tier-1 verify gate
 // against silent quality or determinism regressions in the EM/strength
-// loop. They run through Engine::Fit; the RunGenClus shim is pinned to the
-// same trajectory in genclus_test.cc (RunGenClusShimTest.MatchesEngineFit).
+// loop. They run through Engine::Fit, the library's training entry point.
 #include <gtest/gtest.h>
 
 #include <cstdint>

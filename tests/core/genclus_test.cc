@@ -1,13 +1,11 @@
 // End-to-end training through the Engine::Fit surface: recovery of planted
 // structure, strength learning behaviour, determinism, tracing, progress
-// observation, cancellation, and input validation. The RunGenClus
-// compatibility shim is covered at the bottom.
+// observation, cancellation, and input validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/engine.h"
-#include "core/genclus.h"
 #include "eval/nmi.h"
 #include "prob/simplex.h"
 #include "tests/core/test_fixtures.h"
@@ -289,35 +287,6 @@ TEST(EngineFitTest, ModelCarriesSchemaAndAttributeMetadata) {
   EXPECT_EQ(model.attributes[0].name, "text");
   EXPECT_EQ(model.attributes[0].kind, AttributeKind::kCategorical);
   EXPECT_EQ(model.attributes[0].vocab_size, 4u);
-}
-
-// --- RunGenClus compatibility shim ---
-
-TEST(RunGenClusShimTest, MatchesEngineFit) {
-  auto fixture = MakeTwoCommunityNetwork(6, 1.0, 81);
-  GenClusConfig config = testing::PlantedFixtureConfig(123);
-  auto legacy = RunGenClus(fixture.dataset, {"text"}, config);
-  auto fit = Engine::Fit(fixture.dataset, SmallOptions());
-  ASSERT_TRUE(legacy.ok() && fit.ok());
-  EXPECT_DOUBLE_EQ(Matrix::MaxAbsDiff(legacy->theta, fit->model.theta), 0.0);
-  ASSERT_EQ(legacy->gamma.size(), fit->model.gamma.size());
-  for (size_t r = 0; r < legacy->gamma.size(); ++r) {
-    EXPECT_DOUBLE_EQ(legacy->gamma[r], fit->model.gamma[r]);
-  }
-  EXPECT_DOUBLE_EQ(legacy->objective, fit->model.objective);
-}
-
-TEST(RunGenClusShimTest, RejectsBadInputs) {
-  auto fixture = MakeTwoCommunityNetwork(4, 1.0, 69);
-  GenClusConfig config = testing::PlantedFixtureConfig(123);
-
-  auto missing = RunGenClus(fixture.dataset, {"nope"}, config);
-  EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-
-  config.num_clusters = 1;
-  auto bad_k = RunGenClus(fixture.dataset, {"text"}, config);
-  EXPECT_FALSE(bad_k.ok());
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 //     rows are bitwise untouched, and the result is independent of how
 //     the same growth is split into delta batches;
 //   * both paths validate their inputs (shrunk dataset, node-count
-//     mismatch, bad options).
+//     mismatch, bad options, a previous model of another attribute
+//     shape), and ApplyUpdates is all-or-nothing: a failing delta leaves
+//     the dataset and the model untouched.
 #include "core/update.h"
 
 #include <gtest/gtest.h>
@@ -154,6 +156,32 @@ TEST_F(UpdateTest, RefitValidatesInputs) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+
+  // Previous models that are internally consistent but were trained on a
+  // different attribute shape: a larger categorical vocabulary, and a
+  // numerical attribute where the dataset's is categorical.
+  const size_t num_clusters = base_model_->num_clusters();
+  Model wrong_vocab = *base_model_;
+  wrong_vocab.attributes[0].vocab_size += 1;
+  wrong_vocab.components[0] = AttributeComponents::CategoricalUniform(
+      num_clusters, wrong_vocab.attributes[0].vocab_size);
+  ASSERT_TRUE(wrong_vocab.Validate().ok());
+  EXPECT_EQ(Engine::Refit(full_->dataset, wrong_vocab, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  Model wrong_kind = *base_model_;
+  wrong_kind.attributes[0].kind = AttributeKind::kNumerical;
+  wrong_kind.attributes[0].vocab_size = 0;
+  wrong_kind.components[0] = AttributeComponents::Numerical(
+      std::vector<GaussianDistribution>(num_clusters,
+                                        GaussianDistribution(0.0, 1.0)));
+  ASSERT_TRUE(wrong_kind.Validate().ok());
+  EXPECT_EQ(Engine::Refit(full_->dataset, wrong_kind, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(UpdateTest, ApplyUpdatesGrowsModelInPlace) {
@@ -247,6 +275,33 @@ TEST_F(UpdateTest, ApplyUpdatesValidatesInputs) {
   Model stale = *base_model_;
   EXPECT_EQ(ApplyUpdates(&grown, &stale, {&delta, 1}).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(UpdateTest, ApplyUpdatesIsAllOrNothing) {
+  // A batch whose second delta fails must leave the dataset and the model
+  // exactly as they were, so the same pair keeps accepting valid deltas.
+  Dataset dataset = *base_;
+  Model model = *base_model_;
+  const size_t base_nodes = dataset.network.num_nodes();
+  const uint64_t fingerprint = model.Fingerprint();
+
+  NetworkDelta broken;
+  DeltaLink link;
+  link.src = 0;
+  link.dst = static_cast<NodeId>(full_->dataset.network.num_nodes() + 100);
+  broken.links.push_back(link);
+  const std::vector<NetworkDelta> deltas = {*remainder_, broken};
+  auto failed = ApplyUpdates(&dataset, &model, deltas);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dataset.network.num_nodes(), base_nodes);
+  EXPECT_EQ(model.Fingerprint(), fingerprint);
+
+  auto applied = ApplyUpdates(&dataset, &model, {remainder_, 1});
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(dataset.network.num_nodes(),
+            full_->dataset.network.num_nodes());
+  EXPECT_EQ(model.num_nodes(), dataset.network.num_nodes());
 }
 
 }  // namespace

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/interpolation.h"
 #include "baselines/kmeans.h"
 #include "baselines/spectral.h"
 #include "baselines/topic_models.h"
-#include "core/genclus.h"
+#include "core/engine.h"
 #include "datagen/dblp_generator.h"
 #include "datagen/weather_generator.h"
 #include "eval/link_prediction.h"
@@ -41,6 +44,16 @@ DblpConfig MiniDblp() {
   return config;
 }
 
+// One Engine::Fit over the named attributes.
+Result<FitResult> FitModel(const Dataset& dataset,
+                           std::vector<std::string> attributes,
+                           const GenClusConfig& config) {
+  FitOptions options;
+  options.attributes = std::move(attributes);
+  options.config = config;
+  return Engine::Fit(dataset, options);
+}
+
 GenClusConfig WeatherGenClusConfig() {
   GenClusConfig config;
   config.num_clusters = 4;
@@ -54,22 +67,22 @@ GenClusConfig WeatherGenClusConfig() {
 TEST(WeatherPipelineTest, GenClusBeatsChanceClearly) {
   auto data = GenerateWeatherNetwork(MiniWeather());
   ASSERT_TRUE(data.ok());
-  auto result = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                           WeatherGenClusConfig());
+  auto result = FitModel(data->dataset, {"temperature", "precipitation"},
+                         WeatherGenClusConfig());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const double nmi = NormalizedMutualInformation(
-      result->HardLabels(), data->dataset.labels.raw());
+      result->model.HardLabels(), data->dataset.labels.raw());
   EXPECT_GT(nmi, 0.5);
 }
 
 TEST(WeatherPipelineTest, GenClusBeatsKMeansOnIncompleteAttributes) {
   auto data = GenerateWeatherNetwork(MiniWeather());
   ASSERT_TRUE(data.ok());
-  auto gen = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                        WeatherGenClusConfig());
+  auto gen = FitModel(data->dataset, {"temperature", "precipitation"},
+                      WeatherGenClusConfig());
   ASSERT_TRUE(gen.ok());
   const double gen_nmi = NormalizedMutualInformation(
-      gen->HardLabels(), data->dataset.labels.raw());
+      gen->model.HardLabels(), data->dataset.labels.raw());
 
   const Attribute& temp = data->dataset.attributes[0];
   const Attribute& precip = data->dataset.attributes[1];
@@ -91,14 +104,15 @@ TEST(WeatherPipelineTest, GenClusBeatsKMeansOnIncompleteAttributes) {
 TEST(WeatherPipelineTest, LinkPredictionOnTpRelation) {
   auto data = GenerateWeatherNetwork(MiniWeather());
   ASSERT_TRUE(data.ok());
-  auto result = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                           WeatherGenClusConfig());
+  auto result = FitModel(data->dataset, {"temperature", "precipitation"},
+                         WeatherGenClusConfig());
   ASSERT_TRUE(result.ok());
   for (SimilarityKind kind :
        {SimilarityKind::kCosine, SimilarityKind::kNegativeEuclidean,
         SimilarityKind::kNegativeCrossEntropy}) {
-    auto map = EvaluateLinkPrediction(data->dataset.network, result->theta,
-                                      data->tp_link, kind);
+    auto map = EvaluateLinkPrediction(data->dataset.network,
+                                      result->model.theta, data->tp_link,
+                                      kind);
     ASSERT_TRUE(map.ok());
     // kNN links follow geography which follows clusters: far better than
     // the ~k/|P| random baseline.
@@ -111,13 +125,13 @@ TEST(WeatherPipelineTest, StrengthsOrderedByAttributeQuality) {
   // Setting 1 with sparse P sensors (P sensors mix over 3 rings).
   auto data = GenerateWeatherNetwork(MiniWeather());
   ASSERT_TRUE(data.ok());
-  auto result = RunGenClus(data->dataset, {"temperature", "precipitation"},
-                           WeatherGenClusConfig());
+  auto result = FitModel(data->dataset, {"temperature", "precipitation"},
+                         WeatherGenClusConfig());
   ASSERT_TRUE(result.ok());
-  for (double g : result->gamma) EXPECT_GE(g, 0.0);
+  for (double g : result->model.gamma) EXPECT_GE(g, 0.0);
   // At least one strength strictly positive: links carry signal here.
   double max_gamma = 0.0;
-  for (double g : result->gamma) max_gamma = std::max(max_gamma, g);
+  for (double g : result->model.gamma) max_gamma = std::max(max_gamma, g);
   EXPECT_GT(max_gamma, 0.0);
 }
 
@@ -132,10 +146,10 @@ TEST(DblpPipelineTest, AcNetworkClusteringRecoversAreas) {
   config.em_iterations = 40;
   config.num_init_seeds = 3;
   config.seed = 11;
-  auto result = RunGenClus(ac->dataset, {"text"}, config);
+  auto result = FitModel(ac->dataset, {"text"}, config);
   ASSERT_TRUE(result.ok());
   const double nmi = NormalizedMutualInformation(
-      result->HardLabels(), ac->dataset.labels.raw());
+      result->model.HardLabels(), ac->dataset.labels.raw());
   EXPECT_GT(nmi, 0.6);
 }
 
@@ -150,7 +164,7 @@ TEST(DblpPipelineTest, AcpNetworkHandlesTextlessTypes) {
   config.em_iterations = 40;
   config.num_init_seeds = 3;
   config.seed = 13;
-  auto result = RunGenClus(acp->dataset, {"text"}, config);
+  auto result = FitModel(acp->dataset, {"text"}, config);
   ASSERT_TRUE(result.ok());
   // Authors carry no text; their NMI must still be far above zero.
   std::vector<uint32_t> author_truth(acp->dataset.network.num_nodes(),
@@ -160,7 +174,7 @@ TEST(DblpPipelineTest, AcpNetworkHandlesTextlessTypes) {
         acp->dataset.labels.Get(acp->author_nodes[a]);
   }
   const double author_nmi = NormalizedMutualInformation(
-      result->HardLabels(), author_truth);
+      result->model.HardLabels(), author_truth);
   EXPECT_GT(author_nmi, 0.3);
 }
 
@@ -176,10 +190,10 @@ TEST(DblpPipelineTest, GenClusBeatsHomogeneousBaselinesOnAcp) {
   config.em_iterations = 40;
   config.num_init_seeds = 3;
   config.seed = 17;
-  auto gen = RunGenClus(acp->dataset, {"text"}, config);
+  auto gen = FitModel(acp->dataset, {"text"}, config);
   ASSERT_TRUE(gen.ok());
   const double gen_nmi = NormalizedMutualInformation(
-      gen->HardLabels(), acp->dataset.labels.raw());
+      gen->model.HardLabels(), acp->dataset.labels.raw());
 
   NetPlsaConfig np_config;
   np_config.num_clusters = 4;
@@ -212,12 +226,14 @@ TEST(IoPipelineTest, WeatherRoundTripPreservesClustering) {
 
   GenClusConfig config = WeatherGenClusConfig();
   config.outer_iterations = 2;
-  auto original = RunGenClus(data->dataset,
-                             {"temperature", "precipitation"}, config);
-  auto reloaded = RunGenClus(*loaded, {"temperature", "precipitation"},
-                             config);
+  auto original = FitModel(data->dataset,
+                           {"temperature", "precipitation"}, config);
+  auto reloaded = FitModel(*loaded, {"temperature", "precipitation"},
+                           config);
   ASSERT_TRUE(original.ok() && reloaded.ok());
-  EXPECT_LT(Matrix::MaxAbsDiff(original->theta, reloaded->theta), 1e-9);
+  EXPECT_LT(
+      Matrix::MaxAbsDiff(original->model.theta, reloaded->model.theta),
+      1e-9);
   std::remove(path.c_str());
 }
 
