@@ -39,16 +39,16 @@ void NormalizeRow(const double* mix, size_t num_clusters, double floor,
 }
 
 // The fold-in update (Eq. 10/11 with the rest of the model fixed) for one
-// node of a full network: the link term reads `snapshot` rows — only
+// node of a full network: the link term reads `theta` rows — only
 // neighbors below `valid_rows`, so a Refit seeding pass can walk new
 // nodes in ascending id order — and the attribute part runs `iterations`
 // fixed-point sweeps over the node's own observations.
-void FoldInRow(const Network& network, NodeId v, const Matrix& snapshot,
+void FoldInRow(const Network& network, NodeId v, const Matrix& theta,
                size_t valid_rows, const std::vector<double>& gamma,
                const std::vector<const Attribute*>& attrs,
                const std::vector<AttributeComponents>& components,
                size_t iterations, double theta_floor, double* out) {
-  const size_t num_clusters = snapshot.cols();
+  const size_t num_clusters = theta.cols();
   std::vector<double> link_mix(num_clusters, 0.0);
   std::vector<double> mix(num_clusters);
   std::vector<double> resp(num_clusters);
@@ -59,7 +59,7 @@ void FoldInRow(const Network& network, NodeId v, const Matrix& snapshot,
     if (e.neighbor >= valid_rows) continue;
     const double coeff = gamma[e.type] * e.weight;
     if (coeff == 0.0) continue;
-    const double* row = snapshot.Row(e.neighbor);
+    const double* row = theta.Row(e.neighbor);
     for (size_t k = 0; k < num_clusters; ++k) link_mix[k] += coeff * row[k];
   }
 
@@ -246,28 +246,28 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
 
   WallTimer timer;
   UpdateReport report;
-  // Grow a staged copy delta by delta (each delta's ids address the
-  // network as of its turn) and collect the touched survivors. The caller's
-  // dataset is replaced only once every delta has applied, so a failing
-  // delta leaves both the dataset and the model untouched.
-  Dataset staged;
-  std::vector<NodeId> touched_ids;
+  // Grows the caller's dataset in place; GrowDataset checks every delta
+  // before it changes anything, and nothing after it can fail, so a
+  // failing delta leaves both the dataset and the model untouched.
+  GENCLUS_RETURN_IF_ERROR(GrowDataset(dataset, deltas));
+  const size_t n = dataset->network.num_nodes();
+  std::vector<uint8_t> touched(n, 0);
+  for (size_t v = old_nodes; v < n; ++v) touched[v] = 1;
   for (const NetworkDelta& delta : deltas) {
-    const Dataset& current = report.deltas_applied == 0 ? *dataset : staged;
-    GENCLUS_ASSIGN_OR_RETURN(staged, ApplyNetworkDelta(current, delta));
-    for (const DeltaLink& link : delta.links) {
-      touched_ids.push_back(link.src);
-    }
+    for (const DeltaLink& link : delta.links) touched[link.src] = 1;
     for (const DeltaObservation& obs : delta.observations) {
-      touched_ids.push_back(obs.node);
+      touched[obs.node] = 1;
     }
     report.deltas_applied += 1;
     report.new_nodes += delta.nodes.size();
     report.new_links += delta.links.size();
     report.new_observations += delta.observations.size();
   }
-  if (report.deltas_applied > 0) *dataset = std::move(staged);
-  const size_t n = dataset->network.num_nodes();
+  std::vector<NodeId> rows;
+  for (size_t v = 0; v < n; ++v) {
+    if (touched[v]) rows.push_back(static_cast<NodeId>(v));
+  }
+  report.touched_nodes = rows.size();
 
   std::vector<const Attribute*> attrs;
   attrs.reserve(model->attributes.size());
@@ -279,29 +279,23 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
 
   // Grow Theta: survivors keep their rows, new nodes start uniform and
   // are solved by the Jacobi rounds below (every new node is touched).
-  Matrix theta(n, num_clusters, 1.0 / static_cast<double>(num_clusters));
-  for (size_t v = 0; v < old_nodes; ++v) {
-    std::copy(model->theta.Row(v), model->theta.Row(v) + num_clusters,
-              theta.Row(v));
-  }
-  model->theta = std::move(theta);
+  model->theta.AppendRows(n - old_nodes,
+                          1.0 / static_cast<double>(num_clusters));
 
-  std::vector<uint8_t> touched(n, 0);
-  for (size_t v = old_nodes; v < n; ++v) touched[v] = 1;
-  for (NodeId v : touched_ids) touched[v] = 1;
-  for (uint8_t flag : touched) report.touched_nodes += flag;
-
-  // Jacobi rounds: each round re-solves every touched row against a
-  // snapshot of the previous round's Theta, so the result is independent
-  // of the iteration order (deterministic, and trivially parallelizable).
+  // Jacobi rounds: each round re-solves every touched row against the
+  // previous round's Theta. The round's rows go to `next` and reach Theta
+  // only once all are solved, so the result is independent of the
+  // iteration order (deterministic, and trivially parallelizable).
+  Matrix next(rows.size(), num_clusters);
   for (size_t round = 0; round < options.rounds; ++round) {
-    const Matrix snapshot = model->theta;
-    for (size_t v = 0; v < n; ++v) {
-      if (!touched[v]) continue;
-      FoldInRow(dataset->network, static_cast<NodeId>(v), snapshot,
-                /*valid_rows=*/n, model->gamma, attrs, model->components,
-                options.fold_in_sweeps, options.theta_floor,
-                model->theta.Row(v));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      FoldInRow(dataset->network, rows[i], model->theta, /*valid_rows=*/n,
+                model->gamma, attrs, model->components,
+                options.fold_in_sweeps, options.theta_floor, next.Row(i));
+    }
+    for (size_t i = 0; i < rows.size(); ++i) {
+      std::copy(next.Row(i), next.Row(i) + num_clusters,
+                model->theta.Row(rows[i]));
     }
   }
 

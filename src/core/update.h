@@ -47,9 +47,8 @@ struct RefitOptions {
 /// Options of ApplyUpdates.
 struct UpdateOptions {
   /// Jacobi refinement rounds over the touched node set: every round
-  /// re-solves each touched row against a snapshot of the previous
-  /// round's full Theta, so the result is independent of iteration order
-  /// and deterministic. >= 1.
+  /// re-solves each touched row against the previous round's Theta, so
+  /// the result is independent of iteration order and deterministic. >= 1.
   size_t rounds = 2;
   /// Fixed-point sweeps per touched row per round (>= 1).
   size_t fold_in_sweeps = ServeDefaults::kInferenceIterations;
@@ -74,13 +73,16 @@ struct UpdateReport {
 };
 
 /// Folds `deltas` (applied in order) into `dataset` and `model` in place:
-/// the dataset grows via ApplyNetworkDelta, the model gains fold-in Theta
-/// rows for new nodes, and every touched row is refined with
-/// options.rounds Jacobi rounds. The model's objective field is left at
-/// its last fitted value (stale until the next Refit). Requires
-/// model->num_nodes() == dataset->network.num_nodes() on entry and the
-/// model's attribute/link-type metadata to match the dataset's schema.
-/// All-or-nothing: on error neither the dataset nor the model changes.
+/// the dataset grows in place via GrowDataset (hin/delta.h), the model
+/// gains fold-in Theta rows for new nodes, and every touched row is
+/// refined with options.rounds Jacobi rounds. The model's objective field
+/// is left at its last fitted value (stale until the next Refit).
+/// Requires model->num_nodes() == dataset->network.num_nodes() on entry
+/// and the model's attribute/link-type metadata to match the dataset's
+/// schema. All-or-nothing: on error neither the dataset nor the model
+/// changes. Growing reallocates the network, so no Server or Engine may
+/// reference dataset->network during the call: serve from another copy
+/// of the dataset (grow an offline copy, then SwapModel).
 Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
                                   std::span<const NetworkDelta> deltas,
                                   const UpdateOptions& options = {});

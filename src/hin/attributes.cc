@@ -41,21 +41,48 @@ size_t Attribute::vocab_size() const {
   return vocab_size_;
 }
 
-Status Attribute::AddTermCount(NodeId v, uint32_t term, double count) {
+Status Attribute::CheckTermCount(NodeId v, uint32_t term, double count,
+                                 size_t num_nodes) const {
   if (kind_ != AttributeKind::kCategorical) {
     return Status::FailedPrecondition(
         StrFormat("attribute '%s' is not categorical", name_.c_str()));
   }
-  if (v >= num_nodes_) {
-    return Status::InvalidArgument("AddTermCount: node id out of range");
+  if (v >= num_nodes) {
+    return Status::InvalidArgument(StrFormat(
+        "attribute '%s': node %u out of range (%zu nodes)", name_.c_str(), v,
+        num_nodes));
   }
   if (term >= vocab_size_) {
     return Status::InvalidArgument(
         StrFormat("term %u out of vocabulary (size %zu)", term, vocab_size_));
   }
   if (!(count > 0.0) || !std::isfinite(count)) {
-    return Status::InvalidArgument("AddTermCount: count must be positive");
+    return Status::InvalidArgument(
+        StrFormat("attribute '%s': term count must be positive finite",
+                  name_.c_str()));
   }
+  return Status::OK();
+}
+
+Status Attribute::CheckValue(NodeId v, double value, size_t num_nodes) const {
+  if (kind_ != AttributeKind::kNumerical) {
+    return Status::FailedPrecondition(
+        StrFormat("attribute '%s' is not numerical", name_.c_str()));
+  }
+  if (v >= num_nodes) {
+    return Status::InvalidArgument(StrFormat(
+        "attribute '%s': node %u out of range (%zu nodes)", name_.c_str(), v,
+        num_nodes));
+  }
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument(StrFormat(
+        "attribute '%s': value must be finite", name_.c_str()));
+  }
+  return Status::OK();
+}
+
+Status Attribute::AddTermCount(NodeId v, uint32_t term, double count) {
+  GENCLUS_RETURN_IF_ERROR(CheckTermCount(v, term, count, num_nodes_));
   for (TermCount& tc : term_counts_[v]) {
     if (tc.term == term) {
       tc.count += count;
@@ -67,18 +94,19 @@ Status Attribute::AddTermCount(NodeId v, uint32_t term, double count) {
 }
 
 Status Attribute::AddValue(NodeId v, double value) {
-  if (kind_ != AttributeKind::kNumerical) {
-    return Status::FailedPrecondition(
-        StrFormat("attribute '%s' is not numerical", name_.c_str()));
-  }
-  if (v >= num_nodes_) {
-    return Status::InvalidArgument("AddValue: node id out of range");
-  }
-  if (!std::isfinite(value)) {
-    return Status::InvalidArgument("AddValue: value must be finite");
-  }
+  GENCLUS_RETURN_IF_ERROR(CheckValue(v, value, num_nodes_));
   values_[v].push_back(value);
   return Status::OK();
+}
+
+void Attribute::Grow(size_t num_nodes) {
+  GENCLUS_CHECK_GE(num_nodes, num_nodes_);
+  num_nodes_ = num_nodes;
+  if (kind_ == AttributeKind::kCategorical) {
+    term_counts_.resize(num_nodes_);
+  } else {
+    values_.resize(num_nodes_);
+  }
 }
 
 bool Attribute::HasObservations(NodeId v) const {

@@ -54,6 +54,17 @@ class Attribute {
   /// Appends a numerical observation to node v's list.
   Status AddValue(NodeId v, double value);
 
+  /// The checks of AddTermCount and AddValue, for an attribute spanning
+  /// `num_nodes` nodes: GrowDataset (hin/delta.h) vets observations on
+  /// nodes the attribute has yet to grow to.
+  Status CheckTermCount(NodeId v, uint32_t term, double count,
+                        size_t num_nodes) const;
+  Status CheckValue(NodeId v, double value, size_t num_nodes) const;
+
+  /// Extends the attribute to `num_nodes` >= num_nodes() nodes; the new
+  /// nodes carry no observations.
+  void Grow(size_t num_nodes);
+
   /// True if v carries at least one observation of this attribute.
   bool HasObservations(NodeId v) const;
 

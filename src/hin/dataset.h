@@ -29,6 +29,11 @@ class Labels {
     return labels_[v];
   }
   bool IsLabeled(NodeId v) const { return Get(v) != kUnlabeled; }
+  /// Extends to `num_nodes` >= size() nodes; the new ones are unlabeled.
+  void Grow(size_t num_nodes) {
+    GENCLUS_CHECK_GE(num_nodes, labels_.size());
+    labels_.resize(num_nodes, kUnlabeled);
+  }
   size_t size() const { return labels_.size(); }
   size_t NumLabeled() const;
 

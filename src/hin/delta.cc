@@ -36,89 +36,78 @@ Result<Attribute> ResizeAttribute(const Attribute& attr, size_t num_nodes) {
 
 }  // namespace
 
+Status GrowDataset(Dataset* dataset, std::span<const NetworkDelta> deltas) {
+  GENCLUS_CHECK(dataset != nullptr);
+  GENCLUS_RETURN_IF_ERROR(dataset->Validate());
+  Network& net = dataset->network;
+  std::vector<Attribute>& attributes = dataset->attributes;
+
+  // Check the whole batch, each delta against the node set grown by the
+  // ones before it, before changing anything. `node_types` is the grown
+  // node set's types; it becomes the network's on commit.
+  std::vector<ObjectTypeId> node_types = net.node_types_;
+  for (const NetworkDelta& delta : deltas) {
+    if (!delta.node_labels.empty() &&
+        delta.node_labels.size() != delta.nodes.size()) {
+      return Status::InvalidArgument(StrFormat(
+          "delta carries %zu node labels for %zu new nodes",
+          delta.node_labels.size(), delta.nodes.size()));
+    }
+    for (const DeltaNode& node : delta.nodes) {
+      GENCLUS_RETURN_IF_ERROR(
+          CheckNode(net.schema(), node.type, node_types.size()));
+      node_types.push_back(node.type);
+    }
+    for (const DeltaLink& link : delta.links) {
+      GENCLUS_RETURN_IF_ERROR(CheckLink(net.schema(), node_types, link.src,
+                                        link.dst, link.type, link.weight));
+    }
+    for (const DeltaObservation& obs : delta.observations) {
+      if (obs.attribute >= attributes.size()) {
+        return Status::InvalidArgument(StrFormat(
+            "delta observation references unknown attribute %u",
+            obs.attribute));
+      }
+      const Attribute& attr = attributes[obs.attribute];
+      GENCLUS_RETURN_IF_ERROR(
+          attr.kind() == AttributeKind::kCategorical
+              ? attr.CheckTermCount(obs.node, obs.term, obs.count,
+                                    node_types.size())
+              : attr.CheckValue(obs.node, obs.value, node_types.size()));
+    }
+  }
+  if (deltas.empty()) return Status::OK();
+
+  // Commit; every input has passed its check, so nothing below fails.
+  const size_t base_nodes = net.num_nodes();
+  const size_t total_nodes = node_types.size();
+  net.Append(std::move(node_types), deltas);
+  for (Attribute& attr : attributes) attr.Grow(total_nodes);
+  dataset->labels.Grow(total_nodes);
+  NodeId next = static_cast<NodeId>(base_nodes);
+  for (const NetworkDelta& delta : deltas) {
+    for (const DeltaObservation& obs : delta.observations) {
+      Attribute& attr = attributes[obs.attribute];
+      const Status added =
+          attr.kind() == AttributeKind::kCategorical
+              ? attr.AddTermCount(obs.node, obs.term, obs.count)
+              : attr.AddValue(obs.node, obs.value);
+      GENCLUS_CHECK(added.ok());
+    }
+    for (size_t i = 0; i < delta.node_labels.size(); ++i) {
+      dataset->labels.Set(next + static_cast<NodeId>(i),
+                          delta.node_labels[i]);
+    }
+    next += static_cast<NodeId>(delta.nodes.size());
+  }
+  return Status::OK();
+}
+
 Result<Dataset> ApplyNetworkDelta(const Dataset& base,
                                   const NetworkDelta& delta) {
-  const Network& net = base.network;
-  const size_t base_nodes = net.num_nodes();
-  const size_t total_nodes = base_nodes + delta.nodes.size();
-  if (!delta.node_labels.empty() &&
-      delta.node_labels.size() != delta.nodes.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "delta carries %zu node labels for %zu new nodes",
-        delta.node_labels.size(), delta.nodes.size()));
-  }
-
-  NetworkBuilder builder(net.schema());
-  for (NodeId v = 0; v < base_nodes; ++v) {
-    GENCLUS_ASSIGN_OR_RETURN(
-        NodeId id, builder.AddNode(net.node_type(v), net.node_name(v)));
-    (void)id;
-  }
-  for (const DeltaNode& node : delta.nodes) {
-    GENCLUS_ASSIGN_OR_RETURN(NodeId id,
-                             builder.AddNode(node.type, node.name));
-    (void)id;
-  }
-  // Every base link appears exactly once in the out-adjacency of its
-  // source, so one out-link pass replays them all.
-  for (NodeId v = 0; v < base_nodes; ++v) {
-    for (const LinkEntry& e : net.OutLinks(v)) {
-      GENCLUS_RETURN_IF_ERROR(
-          builder.AddLink(v, e.neighbor, e.type, e.weight));
-    }
-  }
-  for (const DeltaLink& link : delta.links) {
-    if (link.src >= total_nodes || link.dst >= total_nodes) {
-      return Status::InvalidArgument(StrFormat(
-          "delta link %u -> %u addresses past the grown node count %zu",
-          link.src, link.dst, total_nodes));
-    }
-    GENCLUS_RETURN_IF_ERROR(
-        builder.AddLink(link.src, link.dst, link.type, link.weight));
-  }
-
-  Dataset out;
-  GENCLUS_ASSIGN_OR_RETURN(out.network, std::move(builder).Build());
-
-  out.attributes.reserve(base.attributes.size());
-  for (const Attribute& attr : base.attributes) {
-    GENCLUS_ASSIGN_OR_RETURN(Attribute grown,
-                             ResizeAttribute(attr, total_nodes));
-    out.attributes.push_back(std::move(grown));
-  }
-  for (const DeltaObservation& obs : delta.observations) {
-    if (obs.attribute >= out.attributes.size()) {
-      return Status::InvalidArgument(StrFormat(
-          "delta observation references unknown attribute %u",
-          obs.attribute));
-    }
-    if (obs.node >= total_nodes) {
-      return Status::InvalidArgument(StrFormat(
-          "delta observation addresses node %u past the grown node count "
-          "%zu", obs.node, total_nodes));
-    }
-    Attribute& attr = out.attributes[obs.attribute];
-    if (attr.kind() == AttributeKind::kCategorical) {
-      GENCLUS_RETURN_IF_ERROR(
-          attr.AddTermCount(obs.node, obs.term, obs.count));
-    } else {
-      GENCLUS_RETURN_IF_ERROR(attr.AddValue(obs.node, obs.value));
-    }
-  }
-
-  out.labels = Labels(total_nodes);
-  if (base.labels.size() == base_nodes) {
-    for (NodeId v = 0; v < base_nodes; ++v) {
-      out.labels.Set(v, base.labels.Get(v));
-    }
-  }
-  for (size_t i = 0; i < delta.node_labels.size(); ++i) {
-    out.labels.Set(static_cast<NodeId>(base_nodes + i),
-                   delta.node_labels[i]);
-  }
-
-  GENCLUS_RETURN_IF_ERROR(out.Validate());
-  return out;
+  Dataset grown = base;
+  GENCLUS_RETURN_IF_ERROR(GrowDataset(&grown, {&delta, 1}));
+  return grown;
 }
 
 Result<Dataset> SliceDatasetPrefix(const Dataset& full, size_t num_nodes,

@@ -3,16 +3,18 @@
 // of old and new nodes) and new attribute observations — in the base's id
 // space: the i-th new node of a delta gets id base.num_nodes() + i.
 //
-// Networks are immutable after Build, so growth is expressed as dataset
-// algebra: ApplyNetworkDelta rebuilds the grown Dataset (ids of surviving
-// nodes never change, which is what lets Engine::Refit carry their Theta
-// rows over), and SliceDatasetPrefix cuts one full dataset into a
+// GrowDataset is the one growth path: it appends a batch of deltas to a
+// Dataset in place, checking the whole batch before it changes anything.
+// Ids of surviving nodes never change, which is what lets Engine::Refit
+// carry their Theta rows over. ApplyNetworkDelta is the copying form
+// (copy, then grow), and SliceDatasetPrefix cuts one full dataset into a
 // base-plus-remainder pair — the growth-fixture generator refit_bench and
 // the incremental-maintenance tests are built on. The serving-side
 // consumer is ApplyUpdates (core/update.h), which folds deltas into a
 // fitted model between refits.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,12 +66,23 @@ struct NetworkDelta {
   }
 };
 
-/// Applies `delta` to `base` and returns the grown dataset; `base` is
-/// untouched. Base node ids carry over unchanged and delta nodes append
-/// in order. Each observation is applied according to its attribute's
-/// kind (term/count for categorical, value for numerical). Fails with
-/// InvalidArgument on out-of-range endpoints or terms, unknown attribute
-/// ids, or a non-empty node_labels whose size differs from delta.nodes.
+/// Grows `dataset` in place by `deltas`, applied in order: each delta's
+/// ids address the dataset as grown by the deltas before it. Existing
+/// node ids carry over unchanged and delta nodes append in order. Each
+/// observation is applied according to its attribute's kind (term/count
+/// for categorical, value for numerical). Nodes and links must pass the
+/// checks of NetworkBuilder (CheckNode/CheckLink) and observations those
+/// of Attribute::AddTermCount/AddValue; the attribute must exist and a
+/// non-empty node_labels must be parallel to the delta's nodes.
+/// All-or-nothing: the whole batch is checked before anything changes, so
+/// on error `dataset` is untouched. Growing reallocates the network's
+/// arrays, so nothing may read `dataset->network` during the call, and
+/// OutLinks/InLinks spans and OutCsr views taken before it are invalid
+/// after it.
+Status GrowDataset(Dataset* dataset, std::span<const NetworkDelta> deltas);
+
+/// Returns `base` grown by `delta` (a copy, then GrowDataset); `base` is
+/// untouched.
 Result<Dataset> ApplyNetworkDelta(const Dataset& base,
                                   const NetworkDelta& delta);
 

@@ -2,18 +2,125 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/string_util.h"
+#include "hin/delta.h"
 
 namespace genclus {
 
-Result<NodeId> NetworkBuilder::AddNode(ObjectTypeId type, std::string name) {
-  if (!schema_.ValidObjectType(type)) {
-    return Status::InvalidArgument("AddNode: unknown object type");
+namespace {
+
+// Canonical ordering within each node's adjacency range: by type then
+// neighbor.
+constexpr auto kByTypeThenNeighbor = [](const LinkEntry& a,
+                                        const LinkEntry& b) {
+  if (a.type != b.type) return a.type < b.type;
+  return a.neighbor < b.neighbor;
+};
+
+// An adjacency entry bound for the row of `node`.
+struct RowEntry {
+  NodeId node;
+  LinkEntry entry;
+};
+
+// Grows the CSR rows (`offsets`, `entries`) to `num_nodes` rows and merges
+// `added` into them. Each row stays in canonical order, an added entry
+// after any equal one already there. One backward pass places every
+// entry: rows without additions move as whole stretches and are never
+// re-sorted.
+void MergeIntoRows(std::vector<RowEntry> added, size_t num_nodes,
+                   std::vector<size_t>* offsets,
+                   std::vector<LinkEntry>* entries) {
+  std::stable_sort(added.begin(), added.end(),
+                   [](const RowEntry& a, const RowEntry& b) {
+                     if (a.node != b.node) return a.node < b.node;
+                     return kByTypeThenNeighbor(a.entry, b.entry);
+                   });
+  std::vector<size_t>& off = *offsets;
+  std::vector<LinkEntry>& out = *entries;
+  const size_t old_links = out.size();
+  off.resize(num_nodes + 1, old_links);  // new rows start empty
+  out.resize(old_links + added.size());
+
+  // Old entries [0, end) are not yet in place; each belongs `a` slots
+  // further on, `a` being the number of additions not yet placed.
+  size_t a = added.size();
+  size_t end = old_links;
+  while (a > 0) {
+    const NodeId v = added[a - 1].node;
+    const size_t row_begin = off[v];
+    const size_t row_end = off[v + 1];
+    std::move_backward(out.begin() + row_end, out.begin() + end,
+                       out.begin() + end + a);
+    size_t i = row_end;
+    while (a > 0 && added[a - 1].node == v) {
+      if (i > row_begin &&
+          kByTypeThenNeighbor(added[a - 1].entry, out[i - 1])) {
+        out[i - 1 + a] = out[i - 1];
+        --i;
+      } else {
+        out[i - 1 + a] = added[a - 1].entry;
+        --a;
+      }
+    }
+    end = i;
   }
-  if (node_types_.size() >= static_cast<size_t>(kInvalidNode)) {
+
+  if (added.empty()) return;
+  size_t before = 0;  // additions to rows below v
+  for (size_t v = added.front().node + 1; v <= num_nodes; ++v) {
+    while (before < added.size() && added[before].node < v) ++before;
+    off[v] += before;
+  }
+}
+
+}  // namespace
+
+Status CheckNode(const Schema& schema, ObjectTypeId type, size_t num_nodes) {
+  if (!schema.ValidObjectType(type)) {
+    return Status::InvalidArgument(
+        StrFormat("node of unknown object type %u", type));
+  }
+  if (num_nodes >= static_cast<size_t>(kInvalidNode)) {
     return Status::OutOfRange("node id space exhausted");
   }
+  return Status::OK();
+}
+
+Status CheckLink(const Schema& schema,
+                 std::span<const ObjectTypeId> node_types, NodeId src,
+                 NodeId dst, LinkTypeId type, double weight) {
+  if (src >= node_types.size() || dst >= node_types.size()) {
+    return Status::InvalidArgument(
+        StrFormat("link %u -> %u addresses a node past the node count %zu",
+                  src, dst, node_types.size()));
+  }
+  if (!schema.ValidLinkType(type)) {
+    return Status::InvalidArgument(
+        StrFormat("link %u -> %u of unknown link type %u", src, dst, type));
+  }
+  if (!(weight > 0.0) || !std::isfinite(weight)) {
+    return Status::InvalidArgument(StrFormat(
+        "link %u -> %u: weight must be positive finite", src, dst));
+  }
+  const LinkTypeInfo& info = schema.link_type(type);
+  if (node_types[src] != info.source_type ||
+      node_types[dst] != info.target_type) {
+    return Status::InvalidArgument(StrFormat(
+        "link type '%s' expects (%s -> %s) but got (%s -> %s)",
+        info.name.c_str(),
+        schema.object_type_name(info.source_type).c_str(),
+        schema.object_type_name(info.target_type).c_str(),
+        schema.object_type_name(node_types[src]).c_str(),
+        schema.object_type_name(node_types[dst]).c_str()));
+  }
+  return Status::OK();
+}
+
+Result<NodeId> NetworkBuilder::AddNode(ObjectTypeId type, std::string name) {
+  GENCLUS_RETURN_IF_ERROR(CheckNode(schema_, type, node_types_.size()));
   node_types_.push_back(type);
   node_names_.push_back(std::move(name));
   return static_cast<NodeId>(node_types_.size() - 1);
@@ -21,26 +128,8 @@ Result<NodeId> NetworkBuilder::AddNode(ObjectTypeId type, std::string name) {
 
 Status NetworkBuilder::AddLink(NodeId src, NodeId dst, LinkTypeId type,
                                double weight) {
-  if (src >= node_types_.size() || dst >= node_types_.size()) {
-    return Status::InvalidArgument("AddLink: unknown node id");
-  }
-  if (!schema_.ValidLinkType(type)) {
-    return Status::InvalidArgument("AddLink: unknown link type");
-  }
-  if (!(weight > 0.0) || !std::isfinite(weight)) {
-    return Status::InvalidArgument("AddLink: weight must be positive finite");
-  }
-  const LinkTypeInfo& info = schema_.link_type(type);
-  if (node_types_[src] != info.source_type ||
-      node_types_[dst] != info.target_type) {
-    return Status::InvalidArgument(StrFormat(
-        "AddLink: link type '%s' expects (%s -> %s) but got (%s -> %s)",
-        info.name.c_str(),
-        schema_.object_type_name(info.source_type).c_str(),
-        schema_.object_type_name(info.target_type).c_str(),
-        schema_.object_type_name(node_types_[src]).c_str(),
-        schema_.object_type_name(node_types_[dst]).c_str()));
-  }
+  GENCLUS_RETURN_IF_ERROR(
+      CheckLink(schema_, node_types_, src, dst, type, weight));
   link_srcs_.push_back(src);
   link_dsts_.push_back(dst);
   link_types_.push_back(type);
@@ -107,41 +196,70 @@ Result<Network> NetworkBuilder::Build() && {
                                                    link_weights_[e]};
   }
   // Canonical ordering within each node's range: by type then neighbor.
-  auto by_type_then_neighbor = [](const LinkEntry& a, const LinkEntry& b) {
-    if (a.type != b.type) return a.type < b.type;
-    return a.neighbor < b.neighbor;
-  };
   for (size_t v = 0; v < n; ++v) {
     std::sort(net.out_entries_.begin() + net.out_offsets_[v],
               net.out_entries_.begin() + net.out_offsets_[v + 1],
-              by_type_then_neighbor);
+              kByTypeThenNeighbor);
     std::sort(net.in_entries_.begin() + net.in_offsets_[v],
               net.in_entries_.begin() + net.in_offsets_[v + 1],
-              by_type_then_neighbor);
+              kByTypeThenNeighbor);
   }
+  net.BuildTypedCsr();
+  return net;
+}
 
-  // Per-relation SoA adjacency: split the sorted out-link ranges into one
-  // CSR matrix per link type, neighbors ascending within each row.
-  const size_t num_relations = net.schema_.num_link_types();
-  net.typed_out_offsets_.assign(num_relations,
-                                std::vector<size_t>(n + 1, 0));
-  net.typed_out_neighbors_.assign(num_relations, {});
-  net.typed_out_weights_.assign(num_relations, {});
-  for (LinkTypeId r = 0; r < num_relations; ++r) {
-    net.typed_out_neighbors_[r].reserve(net.link_counts_by_type_[r]);
-    net.typed_out_weights_[r].reserve(net.link_counts_by_type_[r]);
+void Network::Append(std::vector<ObjectTypeId> node_types,
+                     std::span<const NetworkDelta> deltas) {
+  const size_t old_nodes = num_nodes();
+  std::vector<RowEntry> out_added;
+  std::vector<RowEntry> in_added;
+  for (const NetworkDelta& delta : deltas) {
+    for (const DeltaNode& node : delta.nodes) {
+      node_names_.push_back(node.name);
+    }
+    for (const DeltaLink& link : delta.links) {
+      out_added.push_back({link.src, {link.dst, link.type, link.weight}});
+      in_added.push_back({link.dst, {link.src, link.type, link.weight}});
+      link_counts_by_type_[link.type]++;
+      link_weights_by_type_[link.type] += link.weight;
+    }
   }
+  if (node_types.size() == old_nodes && out_added.empty()) return;
+
+  node_types_ = std::move(node_types);
+  const size_t n = node_types_.size();
+  for (size_t v = old_nodes; v < n; ++v) {
+    nodes_by_type_[node_types_[v]].push_back(static_cast<NodeId>(v));
+  }
+  MergeIntoRows(std::move(out_added), n, &out_offsets_, &out_entries_);
+  MergeIntoRows(std::move(in_added), n, &in_offsets_, &in_entries_);
+  BuildTypedCsr();
+}
+
+void Network::BuildTypedCsr() {
+  const size_t n = num_nodes();
+  const size_t num_relations = schema_.num_link_types();
+  typed_out_offsets_.resize(num_relations);
+  typed_out_neighbors_.resize(num_relations);
+  typed_out_weights_.resize(num_relations);
+  for (LinkTypeId r = 0; r < num_relations; ++r) {
+    typed_out_offsets_[r].resize(n + 1);
+    typed_out_offsets_[r][0] = 0;
+    typed_out_neighbors_[r].resize(link_counts_by_type_[r]);
+    typed_out_weights_[r].resize(link_counts_by_type_[r]);
+  }
+  std::vector<size_t> cursor(num_relations, 0);
   for (size_t v = 0; v < n; ++v) {
-    for (size_t i = net.out_offsets_[v]; i < net.out_offsets_[v + 1]; ++i) {
-      const LinkEntry& e = net.out_entries_[i];
-      net.typed_out_neighbors_[e.type].push_back(e.neighbor);
-      net.typed_out_weights_[e.type].push_back(e.weight);
+    for (size_t i = out_offsets_[v]; i < out_offsets_[v + 1]; ++i) {
+      const LinkEntry& e = out_entries_[i];
+      typed_out_neighbors_[e.type][cursor[e.type]] = e.neighbor;
+      typed_out_weights_[e.type][cursor[e.type]] = e.weight;
+      ++cursor[e.type];
     }
     for (LinkTypeId r = 0; r < num_relations; ++r) {
-      net.typed_out_offsets_[r][v + 1] = net.typed_out_neighbors_[r].size();
+      typed_out_offsets_[r][v + 1] = cursor[r];
     }
   }
-  return net;
 }
 
 const std::vector<NodeId>& Network::NodesOfType(ObjectTypeId t) const {

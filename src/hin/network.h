@@ -1,7 +1,9 @@
 // The heterogeneous information network G = (V, E, W): typed nodes, typed
-// weighted directed links, CSR adjacency in both directions. Built once via
-// NetworkBuilder, then immutable — the EM inner loop scans contiguous
-// out-link (and in-link) ranges.
+// weighted directed links, CSR adjacency in both directions — the EM inner
+// loop scans contiguous out-link (and in-link) ranges. NetworkBuilder
+// builds one; after that the only mutator is GrowDataset (hin/delta.h),
+// which appends nodes and links in place. Every other caller sees an
+// immutable Network.
 #pragma once
 
 #include <span>
@@ -37,6 +39,21 @@ struct RelationCsr {
 };
 
 class Network;
+struct Dataset;
+struct NetworkDelta;
+
+/// The rules every node and link of a Network satisfies, shared by
+/// NetworkBuilder and GrowDataset (hin/delta.h) so both accept exactly the
+/// same inputs. CheckNode vets a node of object type `type` joining a
+/// network of `num_nodes` nodes. CheckLink vets a src -> dst link of
+/// relation `type` with weight `weight` among nodes whose object types are
+/// `node_types` (indexed by node id): both endpoints must exist, the
+/// relation must be declared, the weight positive and finite, and the
+/// endpoint types those the schema declares for the relation.
+Status CheckNode(const Schema& schema, ObjectTypeId type, size_t num_nodes);
+Status CheckLink(const Schema& schema,
+                 std::span<const ObjectTypeId> node_types, NodeId src,
+                 NodeId dst, LinkTypeId type, double weight);
 
 /// Accumulates nodes and links, validates them against the schema, and
 /// produces an immutable Network.
@@ -68,7 +85,8 @@ class NetworkBuilder {
   std::vector<double> link_weights_;
 };
 
-/// Immutable typed directed graph with per-direction CSR adjacency.
+/// Typed directed graph with per-direction CSR adjacency; immutable except
+/// through GrowDataset.
 class Network {
  public:
   Network() = default;
@@ -108,8 +126,8 @@ class Network {
   size_t InDegree(NodeId v) const { return InLinks(v).size(); }
 
   /// Out-adjacency of one relation as a CSR matrix over all nodes. The
-  /// arrays are materialized at Build time, so the view is valid for the
-  /// network's lifetime and costs nothing to obtain.
+  /// arrays are materialized at Build time, so the view costs nothing to
+  /// obtain; it stays valid until the network grows.
   RelationCsr OutCsr(LinkTypeId r) const {
     GENCLUS_DCHECK(r < typed_out_offsets_.size());
     return {typed_out_offsets_[r], typed_out_neighbors_[r],
@@ -131,6 +149,19 @@ class Network {
 
  private:
   friend class NetworkBuilder;
+  friend Status GrowDataset(Dataset* dataset,
+                            std::span<const NetworkDelta> deltas);
+
+  // GrowDataset's commit step: appends the nodes and links of `deltas`,
+  // already checked against `node_types` (the grown node set's types).
+  // New out- and in-entries are merged into their sorted rows; every other
+  // row only moves.
+  void Append(std::vector<ObjectTypeId> node_types,
+              std::span<const NetworkDelta> deltas);
+
+  // Splits the sorted out-link rows into the per-relation CSR of OutCsr.
+  // Needs link_counts_by_type_.
+  void BuildTypedCsr();
 
   Schema schema_;
   std::vector<ObjectTypeId> node_types_;

@@ -58,6 +58,14 @@ class Matrix {
   /// Sets row r from v (v.size() must equal cols()).
   void SetRow(size_t r, const Vector& v);
 
+  /// Appends `count` rows filled with `fill`; existing rows keep their
+  /// values. Storage grows geometrically, so repeated appends are
+  /// amortized O(count * cols()).
+  void AppendRows(size_t count, double fill) {
+    rows_ += count;
+    data_.resize(rows_ * cols_, fill);
+  }
+
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
 

@@ -1,8 +1,32 @@
 #include "tests/core/test_fixtures.h"
 
+#include <gtest/gtest.h>
+
+#include <span>
+
 #include "common/check.h"
 
 namespace genclus::testing {
+
+namespace {
+
+template <typename T>
+std::vector<T> ToVector(std::span<const T> values) {
+  return std::vector<T>(values.begin(), values.end());
+}
+
+void ExpectLinksEqual(std::span<const LinkEntry> a,
+                      std::span<const LinkEntry> b, NodeId v,
+                      const char* direction) {
+  ASSERT_EQ(a.size(), b.size()) << direction << " v=" << v;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].neighbor, b[i].neighbor) << direction << " v=" << v;
+    EXPECT_EQ(a[i].type, b[i].type) << direction << " v=" << v;
+    EXPECT_EQ(a[i].weight, b[i].weight) << direction << " v=" << v;
+  }
+}
+
+}  // namespace
 
 GenClusConfig PlantedFixtureConfig(uint64_t seed) {
   GenClusConfig config;
@@ -87,6 +111,64 @@ TwoCommunityNetwork MakeTwoCommunityNetwork(size_t docs_per_side,
   }
   GENCLUS_CHECK(out.dataset.Validate().ok());
   return out;
+}
+
+void ExpectDatasetsEqual(const Dataset& a, const Dataset& b) {
+  const Network& na = a.network;
+  const Network& nb = b.network;
+  ASSERT_EQ(na.num_nodes(), nb.num_nodes());
+  ASSERT_EQ(na.num_links(), nb.num_links());
+  for (NodeId v = 0; v < na.num_nodes(); ++v) {
+    EXPECT_EQ(na.node_type(v), nb.node_type(v)) << "v=" << v;
+    EXPECT_EQ(na.node_name(v), nb.node_name(v)) << "v=" << v;
+    ExpectLinksEqual(na.OutLinks(v), nb.OutLinks(v), v, "out");
+    ExpectLinksEqual(na.InLinks(v), nb.InLinks(v), v, "in");
+  }
+  const size_t num_object_types = na.schema().num_object_types();
+  ASSERT_EQ(num_object_types, nb.schema().num_object_types());
+  for (ObjectTypeId t = 0; t < num_object_types; ++t) {
+    EXPECT_EQ(na.NodesOfType(t), nb.NodesOfType(t)) << "t=" << t;
+  }
+  const size_t num_relations = na.schema().num_link_types();
+  ASSERT_EQ(num_relations, nb.schema().num_link_types());
+  EXPECT_EQ(na.LinkCountsByType(), nb.LinkCountsByType());
+  ASSERT_EQ(na.LinkWeightsByType().size(), num_relations);
+  ASSERT_EQ(nb.LinkWeightsByType().size(), num_relations);
+  for (LinkTypeId r = 0; r < num_relations; ++r) {
+    EXPECT_DOUBLE_EQ(na.LinkWeightsByType()[r], nb.LinkWeightsByType()[r])
+        << "r=" << r;
+    const RelationCsr ca = na.OutCsr(r);
+    const RelationCsr cb = nb.OutCsr(r);
+    EXPECT_EQ(ToVector(ca.row_offsets), ToVector(cb.row_offsets))
+        << "r=" << r;
+    EXPECT_EQ(ToVector(ca.neighbors), ToVector(cb.neighbors)) << "r=" << r;
+    EXPECT_EQ(ToVector(ca.weights), ToVector(cb.weights)) << "r=" << r;
+  }
+
+  ASSERT_EQ(a.attributes.size(), b.attributes.size());
+  for (size_t x = 0; x < a.attributes.size(); ++x) {
+    const Attribute& xa = a.attributes[x];
+    const Attribute& xb = b.attributes[x];
+    ASSERT_EQ(xa.kind(), xb.kind());
+    EXPECT_EQ(xa.name(), xb.name());
+    for (NodeId v = 0; v < na.num_nodes(); ++v) {
+      if (xa.kind() == AttributeKind::kCategorical) {
+        const auto& ta = xa.TermCounts(v);
+        const auto& tb = xb.TermCounts(v);
+        ASSERT_EQ(ta.size(), tb.size()) << "x=" << x << " v=" << v;
+        for (size_t i = 0; i < ta.size(); ++i) {
+          EXPECT_EQ(ta[i].term, tb[i].term);
+          EXPECT_EQ(ta[i].count, tb[i].count);
+        }
+      } else {
+        EXPECT_EQ(xa.Values(v), xb.Values(v)) << "x=" << x << " v=" << v;
+      }
+    }
+  }
+  ASSERT_EQ(a.labels.size(), b.labels.size());
+  for (NodeId v = 0; v < a.labels.size(); ++v) {
+    EXPECT_EQ(a.labels.Get(v), b.labels.Get(v)) << "v=" << v;
+  }
 }
 
 Matrix ConcentratedTheta(const std::vector<uint32_t>& labels,

@@ -40,6 +40,14 @@ TwoCommunityNetwork MakeTwoCommunityNetwork(size_t docs_per_side,
 /// only needs one update.
 GenClusConfig PlantedFixtureConfig(uint64_t seed);
 
+/// Expects two datasets structurally equal: node types and names, every
+/// node's out- and in-links (order included), every relation's OutCsr,
+/// NodesOfType, LinkCountsByType, attribute observations and labels.
+/// LinkWeightsByType is compared to double precision only: a grown
+/// network sums each relation's weights in another order than a fresh
+/// Build.
+void ExpectDatasetsEqual(const Dataset& a, const Dataset& b);
+
 /// A membership matrix where each node's row concentrates (1 - eps) on
 /// `labels[v]`.
 Matrix ConcentratedTheta(const std::vector<uint32_t>& labels,

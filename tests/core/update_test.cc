@@ -12,13 +12,15 @@
 //     the same growth is split into delta batches;
 //   * both paths validate their inputs (shrunk dataset, node-count
 //     mismatch, bad options, a previous model of another attribute
-//     shape), and ApplyUpdates is all-or-nothing: a failing delta leaves
-//     the dataset and the model untouched.
+//     shape), and ApplyUpdates is all-or-nothing: a failing delta — for
+//     every rule a delta can break — leaves the dataset and the model
+//     untouched.
 #include "core/update.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -280,22 +282,82 @@ TEST_F(UpdateTest, ApplyUpdatesValidatesInputs) {
 TEST_F(UpdateTest, ApplyUpdatesIsAllOrNothing) {
   // A batch whose second delta fails must leave the dataset and the model
   // exactly as they were, so the same pair keeps accepting valid deltas.
-  Dataset dataset = *base_;
-  Model model = *base_model_;
-  const size_t base_nodes = dataset.network.num_nodes();
-  const uint64_t fingerprint = model.Fingerprint();
+  // The batch is checked before anything changes, so every rejection is
+  // pinned here. The dataset carries a numerical attribute beside the
+  // model's text so the value check is reachable too.
+  Dataset seed = *base_;
+  Attribute numeric = Attribute::Numerical("x", seed.network.num_nodes());
+  ASSERT_TRUE(numeric.AddValue(0, 1.5).ok());
+  seed.attributes.push_back(std::move(numeric));
+  const AttributeId text = 0;
+  const AttributeId numeric_id = 1;
+  const uint64_t fingerprint = base_model_->Fingerprint();
+  // After the valid delta the batch addresses the full network's ids.
+  const NodeId grown = static_cast<NodeId>(full_->dataset.network.num_nodes());
+  const NodeId doc = full_->docs[0];
+  const NodeId other = full_->docs[1];
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
 
-  NetworkDelta broken;
-  DeltaLink link;
-  link.src = 0;
-  link.dst = static_cast<NodeId>(full_->dataset.network.num_nodes() + 100);
-  broken.links.push_back(link);
-  const std::vector<NetworkDelta> deltas = {*remainder_, broken};
-  auto failed = ApplyUpdates(&dataset, &model, deltas);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(dataset.network.num_nodes(), base_nodes);
-  EXPECT_EQ(model.Fingerprint(), fingerprint);
+  auto node_delta = [](ObjectTypeId type) {
+    NetworkDelta d;
+    d.nodes.push_back({type, "n"});
+    return d;
+  };
+  auto link_delta = [](NodeId src, NodeId dst, LinkTypeId type,
+                       double weight) {
+    NetworkDelta d;
+    d.links.push_back({src, dst, type, weight});
+    return d;
+  };
+  auto observation_delta = [](AttributeId attribute, NodeId node,
+                              uint32_t term, double count, double value) {
+    NetworkDelta d;
+    d.observations.push_back({attribute, node, term, count, value});
+    return d;
+  };
+  NetworkDelta mislabeled = node_delta(full_->doc_type);
+  mislabeled.node_labels = {0, 1};  // two labels, one node
+  const size_t vocab = seed.attributes[text].vocab_size();
+
+  const std::vector<std::pair<const char*, NetworkDelta>> cases = {
+      {"unknown object type", node_delta(99)},
+      {"unknown link type", link_delta(doc, other, 99, 1.0)},
+      {"endpoint types contradict the schema",
+       link_delta(doc, other, full_->doc_tag, 1.0)},
+      {"weight 0", link_delta(doc, other, full_->doc_doc, 0.0)},
+      {"weight NaN", link_delta(doc, other, full_->doc_doc, nan)},
+      {"weight inf", link_delta(doc, other, full_->doc_doc, inf)},
+      {"link endpoint past the grown node count",
+       link_delta(doc, grown, full_->doc_doc, 1.0)},
+      {"link endpoint far past the grown node count",
+       link_delta(0, grown + 100, 0, 1.0)},
+      {"unknown attribute id", observation_delta(2, doc, 0, 1.0, 0.0)},
+      {"observation node past the grown node count",
+       observation_delta(text, grown, 0, 1.0, 0.0)},
+      {"term >= vocabulary size",
+       observation_delta(text, doc, static_cast<uint32_t>(vocab), 1.0,
+                         0.0)},
+      {"count 0", observation_delta(text, doc, 0, 0.0, 0.0)},
+      {"count NaN", observation_delta(text, doc, 0, nan, 0.0)},
+      {"numerical value NaN",
+       observation_delta(numeric_id, doc, 0, 1.0, nan)},
+      {"numerical value inf",
+       observation_delta(numeric_id, doc, 0, 1.0, inf)},
+      {"label count != node count", mislabeled},
+  };
+  Dataset dataset = seed;
+  Model model = *base_model_;
+  for (const auto& [name, broken] : cases) {
+    SCOPED_TRACE(name);
+    const std::vector<NetworkDelta> deltas = {*remainder_, broken};
+    auto failed = ApplyUpdates(&dataset, &model, deltas);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument)
+        << failed.status().ToString();
+    testing::ExpectDatasetsEqual(seed, dataset);
+    EXPECT_EQ(model.Fingerprint(), fingerprint);
+  }
 
   auto applied = ApplyUpdates(&dataset, &model, {remainder_, 1});
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();

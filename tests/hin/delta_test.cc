@@ -6,66 +6,31 @@
 //     dataset into a prefix plus remainder and replaying the remainder
 //     reproduces the full dataset exactly — the contract the
 //     incremental-maintenance fixtures (refit_bench, update_test) rely on;
+//   * GrowDataset applies a batch in place, each delta addressing the
+//     nodes the ones before it added, and matches a fresh Build in every
+//     structure it maintains incrementally (rows, typed CSR, per-type
+//     aggregates);
 //   * malformed deltas fail with InvalidArgument and leave nothing
-//     half-applied (the base is const).
+//     half-applied.
 #include "hin/delta.h"
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "datagen/dblp_generator.h"
 #include "tests/core/test_fixtures.h"
 
 namespace genclus {
 namespace {
 
+using testing::ExpectDatasetsEqual;
 using testing::MakeTwoCommunityNetwork;
 
 testing::TwoCommunityNetwork MakeFixture() {
   return MakeTwoCommunityNetwork(/*docs_per_side=*/4, /*text_fraction=*/1.0,
                                  /*seed=*/77);
-}
-
-// Structural equality of two datasets: types, names, per-node out-links
-// (order included — Build sorts them deterministically), attribute
-// observations, labels.
-void ExpectDatasetsEqual(const Dataset& a, const Dataset& b) {
-  ASSERT_EQ(a.network.num_nodes(), b.network.num_nodes());
-  ASSERT_EQ(a.network.num_links(), b.network.num_links());
-  for (NodeId v = 0; v < a.network.num_nodes(); ++v) {
-    EXPECT_EQ(a.network.node_type(v), b.network.node_type(v)) << "v=" << v;
-    EXPECT_EQ(a.network.node_name(v), b.network.node_name(v)) << "v=" << v;
-    const auto la = a.network.OutLinks(v);
-    const auto lb = b.network.OutLinks(v);
-    ASSERT_EQ(la.size(), lb.size()) << "v=" << v;
-    for (size_t i = 0; i < la.size(); ++i) {
-      EXPECT_EQ(la[i].neighbor, lb[i].neighbor) << "v=" << v;
-      EXPECT_EQ(la[i].type, lb[i].type) << "v=" << v;
-      EXPECT_EQ(la[i].weight, lb[i].weight) << "v=" << v;
-    }
-  }
-  ASSERT_EQ(a.attributes.size(), b.attributes.size());
-  for (size_t x = 0; x < a.attributes.size(); ++x) {
-    const Attribute& xa = a.attributes[x];
-    const Attribute& xb = b.attributes[x];
-    ASSERT_EQ(xa.kind(), xb.kind());
-    EXPECT_EQ(xa.name(), xb.name());
-    for (NodeId v = 0; v < a.network.num_nodes(); ++v) {
-      if (xa.kind() == AttributeKind::kCategorical) {
-        const auto& ta = xa.TermCounts(v);
-        const auto& tb = xb.TermCounts(v);
-        ASSERT_EQ(ta.size(), tb.size()) << "x=" << x << " v=" << v;
-        for (size_t i = 0; i < ta.size(); ++i) {
-          EXPECT_EQ(ta[i].term, tb[i].term);
-          EXPECT_EQ(ta[i].count, tb[i].count);
-        }
-      } else {
-        EXPECT_EQ(xa.Values(v), xb.Values(v)) << "x=" << x << " v=" << v;
-      }
-    }
-  }
-  ASSERT_EQ(a.labels.size(), b.labels.size());
-  for (NodeId v = 0; v < a.labels.size(); ++v) {
-    EXPECT_EQ(a.labels.Get(v), b.labels.Get(v)) << "v=" << v;
-  }
 }
 
 TEST(DeltaTest, ApplyGrowsNetworkAndAttributes) {
@@ -133,6 +98,72 @@ TEST(DeltaTest, SliceThenApplyRoundTrips) {
                               << rebuilt.status().ToString();
     ExpectDatasetsEqual(fx.dataset, rebuilt.value());
   }
+}
+
+// Cuts `full` at `base_nodes` and at `mid`, grows the base by the two
+// deltas between the cuts as one GrowDataset batch — the second delta
+// addresses nodes the first adds — and expects `full` back.
+void ExpectTwoWaySplitRoundTrips(const Dataset& full, size_t base_nodes,
+                                 size_t mid) {
+  NetworkDelta second;
+  auto mid_dataset = SliceDatasetPrefix(full, mid, &second);
+  ASSERT_TRUE(mid_dataset.ok()) << mid_dataset.status().ToString();
+  NetworkDelta first;
+  auto base = SliceDatasetPrefix(mid_dataset.value(), base_nodes, &first);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  Dataset grown = std::move(base).value();
+  const std::vector<NetworkDelta> batch = {std::move(first),
+                                           std::move(second)};
+  const Status status = GrowDataset(&grown, batch);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectDatasetsEqual(full, grown);
+}
+
+TEST(DeltaTest, GrowDatasetAppliesATwoWaySplitAsOneBatch) {
+  const auto fx = MakeFixture();
+  const size_t total = fx.dataset.network.num_nodes();
+  ExpectTwoWaySplitRoundTrips(fx.dataset, total / 3, (2 * total) / 3);
+
+  // Generated bibliographic networks: rows of hundreds of entries and
+  // several relations get new entries merged in; AC carries
+  // count-weighted links.
+  DblpConfig config;
+  config.num_conferences = 8;
+  config.num_authors = 120;
+  config.num_papers = 300;
+  auto corpus = GenerateDblpCorpus(config);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  auto acp = BuildAcpNetwork(corpus.value(), config);
+  ASSERT_TRUE(acp.ok()) << acp.status().ToString();
+  const size_t acp_nodes = acp->dataset.network.num_nodes();
+  ExpectTwoWaySplitRoundTrips(acp->dataset, acp_nodes / 2,
+                              (3 * acp_nodes) / 4);
+  auto ac = BuildAcNetwork(corpus.value(), config);
+  ASSERT_TRUE(ac.ok()) << ac.status().ToString();
+  const size_t ac_nodes = ac->dataset.network.num_nodes();
+  ExpectTwoWaySplitRoundTrips(ac->dataset, ac_nodes / 3, (2 * ac_nodes) / 3);
+}
+
+TEST(DeltaTest, GrowDatasetIsAllOrNothing) {
+  // A valid delta, then one whose link addresses past the grown node
+  // count: the batch fails and the dataset is exactly as it was.
+  const auto fx = MakeFixture();
+  Dataset dataset = fx.dataset;
+  NetworkDelta valid;
+  valid.nodes.push_back({fx.doc_type, "new_doc"});
+  const NodeId fresh = static_cast<NodeId>(dataset.network.num_nodes());
+  valid.links.push_back({fresh, fx.docs[0], fx.doc_doc, 1.0});
+  valid.observations.push_back({/*attribute=*/0, fx.docs[1], /*term=*/0,
+                                /*count=*/1.0});
+  NetworkDelta broken;
+  broken.links.push_back({fx.docs[0], fresh + 1, fx.doc_doc, 1.0});
+  const std::vector<NetworkDelta> batch = {valid, broken};
+  EXPECT_EQ(GrowDataset(&dataset, batch).code(),
+            StatusCode::kInvalidArgument);
+  ExpectDatasetsEqual(fx.dataset, dataset);
+
+  ASSERT_TRUE(GrowDataset(&dataset, {&valid, 1}).ok());
+  EXPECT_EQ(dataset.network.num_nodes(), fx.dataset.network.num_nodes() + 1);
 }
 
 TEST(DeltaTest, RejectsMalformedDeltas) {

@@ -8,10 +8,12 @@ that dynamically (0-drift exits); this lint enforces the source-level
 invariants that make the guarantee hold BY CONSTRUCTION, so a violation
 is caught in review rather than by a flaky drift gate:
 
-  R1  No unordered-container use in src/core or src/linalg, and no
-      range-for iteration over a variable declared as an unordered
+  R1  No unordered-container use in src/core, src/linalg or src/hin, and
+      no range-for iteration over a variable declared as an unordered
       container anywhere in src/. Hash-order iteration feeding a
-      floating-point accumulation silently reorders sums.
+      floating-point accumulation silently reorders sums; in src/hin the
+      row order that NetworkBuilder::Build and GrowDataset produce is the
+      SpMM accumulation order.
   R2  No nondeterministic sources — rand()/srand(), std::random_device,
       wall-clock reads (std::chrono::system_clock, time(NULL),
       gettimeofday, clock()) — outside src/common/random.* and
@@ -103,13 +105,15 @@ RANDOM_OK = {"src/common/random.h", "src/common/random.cc",
 THREAD_OK = {"src/common/thread_pool.h", "src/common/thread_pool.cc",
              "src/core/server.h", "src/core/server.cc"}
 SYNC_OK = {"src/common/mutex.h"}
-# Files in the strict directories allowed to host failpoint sites (R5):
-# the serving tier and model IO — robustness boundaries, not hot loops.
+# Directories where failpoint sites are banned (R5), and the files in them
+# allowed to host some: the serving tier and model IO — robustness
+# boundaries, not hot loops.
+FAILPOINT_DIRS = ("src/core/", "src/linalg/")
 FAILPOINT_OK = {"src/core/server.cc", "src/core/model_io.cc"}
 FAILPOINT_RE = re.compile(r"\bGENCLUS_FAILPOINT\s*\(")
 # Accumulation-order-sensitive directories for the unordered-container
 # include/type ban (R1's strict form).
-STRICT_UNORDERED_DIRS = ("src/core/", "src/linalg/")
+STRICT_UNORDERED_DIRS = ("src/core/", "src/linalg/", "src/hin/")
 
 
 class Finding:
@@ -243,7 +247,7 @@ def scan_file(root: Path, rel: str, findings: list[Finding],
                         f"CondVar (common/mutex.h) so -Wthread-safety "
                         f"sees the lock")
 
-        if (rel.startswith(STRICT_UNORDERED_DIRS)
+        if (rel.startswith(FAILPOINT_DIRS)
                 and rel not in FAILPOINT_OK
                 and FAILPOINT_RE.search(code)):
             add(idx, raw, "R5",
