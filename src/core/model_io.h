@@ -1,7 +1,7 @@
 // Serialization of trained Models in two formats.
 //
 // Text (SaveModel/LoadModel): the fidelity format, alongside the dataset
-// format in hin/io.h (both share ForEachTextRecord's line-oriented
+// format in hin/io.h (read through ForEachTextRecord's line-oriented
 // scaffolding). Doubles are written at 17 significant digits, so a
 // save/load round trip is bit-exact and a model trained once keeps
 // answering queries with the same doubles after being persisted and

@@ -1,13 +1,165 @@
 #include "hin/io.h"
 
+#include <array>
+#include <charconv>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "common/string_util.h"
 
 namespace genclus {
+
+namespace {
+
+// LoadDataset reads its file in blocks of this size.
+constexpr size_t kReadBlock = size_t{1} << 20;
+
+// The most fields a dataset record reads; Tokenize counts any beyond.
+constexpr size_t kMaxFields = 5;
+
+// std::isspace's set in the "C" locale, fixed so that the format does not
+// depend on the process locale. A table: a token ends on one load.
+constexpr std::array<bool, 256> kIsSpace = [] {
+  std::array<bool, 256> table{};
+  for (const char c : std::string_view(" \t\n\v\f\r")) {
+    table[static_cast<unsigned char>(c)] = true;
+  }
+  return table;
+}();
+
+bool IsSpace(char c) { return kIsSpace[static_cast<unsigned char>(c)]; }
+
+struct FileCloser {
+  void operator()(std::FILE* file) const { std::fclose(file); }
+};
+
+// Calls fn(line_no, line) for each '\n'-terminated line of `file`, and for
+// a last line without one; `line` excludes the '\n'. The file is read in
+// kReadBlock blocks: the unfinished line at the end of a block carries to
+// the front of the buffer, and a line longer than the buffer doubles it.
+// A read error is an IoError, not the end of the file.
+template <typename Fn>
+Status ForEachLine(std::FILE* file, const std::string& path, Fn&& fn) {
+  // Uninitialized: a small file touches only the pages it fills.
+  size_t size = kReadBlock;
+  auto buf = std::make_unique_for_overwrite<char[]>(size);
+  size_t carry = 0;  // bytes of the unfinished line at the front of buf
+  size_t line_no = 0;
+  for (;;) {
+    if (carry == size) {
+      auto grown = std::make_unique_for_overwrite<char[]>(2 * size);
+      std::memcpy(grown.get(), buf.get(), carry);
+      buf = std::move(grown);
+      size *= 2;
+    }
+    const size_t got = std::fread(buf.get() + carry, 1, size - carry, file);
+    if (std::ferror(file)) {
+      return Status::IoError(StrFormat("read from '%s' failed", path.c_str()));
+    }
+    const char* line = buf.get();
+    if (got == 0) {
+      if (carry == 0) return Status::OK();
+      return fn(++line_no, std::string_view(line, carry));
+    }
+    const char* const end = line + carry + got;
+    const char* scan = line + carry;  // the carried bytes hold no '\n'
+    while (const char* nl = static_cast<const char*>(
+               std::memchr(scan, '\n', static_cast<size_t>(end - scan)))) {
+      GENCLUS_RETURN_IF_ERROR(fn(
+          ++line_no, std::string_view(line, static_cast<size_t>(nl - line))));
+      line = scan = nl + 1;
+    }
+    carry = static_cast<size_t>(end - line);
+    std::memmove(buf.get(), line, carry);
+  }
+}
+
+// Cuts `line` at runs of whitespace, stores the first kMaxFields tokens in
+// *tok and returns the number of tokens.
+size_t Tokenize(std::string_view line,
+                std::array<std::string_view, kMaxFields>* tok) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  size_t count = 0;
+  for (;;) {
+    while (p != end && IsSpace(*p)) ++p;
+    if (p == end) return count;
+    const char* const begin = p;
+    while (p != end && !IsSpace(*p)) ++p;
+    if (count < kMaxFields) {
+      (*tok)[count] = std::string_view(begin, static_cast<size_t>(p - begin));
+    }
+    ++count;
+  }
+}
+
+// A whole-token unsigned decimal that fits T: no sign, no exponent.
+template <typename T>
+bool ParseUnsigned(std::string_view s, T* out) {
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+// from_chars reads the decimal forms SaveDataset writes, subnormals
+// included, without consulting the locale. A token it does not consume
+// whole goes to the strtod-based ParseDouble, which still accepts a leading
+// '+' and hex floats (and refuses what overflows or underflows to zero).
+bool ParseNumber(std::string_view s, double* out) {
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return (ec == std::errc() && ptr == end) || ParseDouble(s, out);
+}
+
+// Interns the names one kind of record refers to (object types, link types
+// or attributes), so pending records hold small ids and each name is
+// resolved once after the scan. An ordered map rather than a scanned
+// vector: a file naming 10^5 distinct types must not take O(n^2)
+// compares. Records mostly repeat the last name, which is checked first.
+class NameTable {
+ public:
+  NameTable() = default;
+  // names_ and last_ point into ids_.
+  NameTable(const NameTable&) = delete;
+  NameTable& operator=(const NameTable&) = delete;
+
+  uint32_t Intern(std::string_view name) {
+    if (last_ != nullptr && last_->first == name) return last_->second;
+    auto it = ids_.find(name);
+    if (it == ids_.end()) {
+      it = ids_.emplace(std::string(name), static_cast<uint32_t>(names_.size()))
+               .first;
+      names_.push_back(&it->first);
+    }
+    last_ = &*it;
+    return it->second;
+  }
+
+  const std::string& name(uint32_t id) const { return *names_[id]; }
+
+  // find(name) for every interned name, indexed by id.
+  template <typename Find>
+  auto Resolve(Find find) const {
+    std::vector<decltype(find(std::string()))> ids;
+    ids.reserve(names_.size());
+    for (const std::string* name : names_) ids.push_back(find(*name));
+    return ids;
+  }
+
+ private:
+  std::map<std::string, uint32_t, std::less<>> ids_;
+  std::vector<const std::string*> names_;  // by id
+  const std::pair<const std::string, uint32_t>* last_ = nullptr;
+};
+
+}  // namespace
 
 Status RecordError(const std::string& path, size_t line_no, const char* why) {
   return Status::IoError(
@@ -108,20 +260,30 @@ Status SaveDataset(const Dataset& dataset, const std::string& path) {
 }
 
 Result<Dataset> LoadDataset(const std::string& path) {
+  std::unique_ptr<std::FILE, FileCloser> file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) {
+    return Status::IoError(StrFormat("cannot open '%s'", path.c_str()));
+  }
+
   Schema schema;
+  NameTable object_types;
+  NameTable link_types;
+  NameTable attr_names;
   struct PendingNode {
-    std::string type;
-    std::string name;
+    uint32_t type;    // object_types id
+    size_t name_end;  // the name ends here in node_names and starts where
+                      // the previous node's ends
   };
   struct PendingLink {
     NodeId src;
     NodeId dst;
-    std::string type;
+    uint32_t type;  // link_types id
     double weight;
   };
   std::vector<PendingNode> nodes;
+  std::string node_names;
   std::vector<PendingLink> links;
-  std::vector<std::pair<std::string, std::string>> inverses;
+  std::vector<std::pair<uint32_t, uint32_t>> inverses;  // link_types ids
   // Attribute name -> (kind, vocab). Observations are replayed after build.
   struct PendingAttr {
     std::string name;
@@ -130,13 +292,13 @@ Result<Dataset> LoadDataset(const std::string& path) {
   };
   std::vector<PendingAttr> attr_decls;
   struct PendingTermObs {
-    std::string attr;
+    uint32_t attr;  // attr_names id
     NodeId node;
     uint32_t term;
     double count;
   };
   struct PendingValueObs {
-    std::string attr;
+    uint32_t attr;  // attr_names id
     NodeId node;
     double value;
   };
@@ -144,83 +306,88 @@ Result<Dataset> LoadDataset(const std::string& path) {
   std::vector<PendingValueObs> value_obs;
   std::vector<std::pair<NodeId, uint32_t>> label_records;
 
-  GENCLUS_RETURN_IF_ERROR(ForEachTextRecord(
-      path,
-      [&](size_t line_no,
-          const std::vector<std::string>& tok) -> Status {
-        const std::string& cmd = tok[0];
+  std::array<std::string_view, kMaxFields> tok;
+  GENCLUS_RETURN_IF_ERROR(ForEachLine(
+      file.get(), path,
+      [&](size_t line_no, std::string_view line) -> Status {
+        const size_t n = Tokenize(line, &tok);
+        if (n == 0 || tok[0][0] == '#') return Status::OK();
+        const std::string_view cmd = tok[0];
         auto bad = [&](const char* why) {
           return RecordError(path, line_no, why);
         };
         if (cmd == "object_type") {
-          if (tok.size() != 2) return bad("object_type needs 1 field");
-          auto r = schema.AddObjectType(tok[1]);
+          if (n != 2) return bad("object_type needs 1 field");
+          auto r = schema.AddObjectType(std::string(tok[1]));
           if (!r.ok()) return r.status();
         } else if (cmd == "link_type") {
-          if (tok.size() != 4) return bad("link_type needs 3 fields");
-          ObjectTypeId s = schema.FindObjectType(tok[2]);
-          ObjectTypeId t = schema.FindObjectType(tok[3]);
+          if (n != 4) return bad("link_type needs 3 fields");
+          ObjectTypeId s = schema.FindObjectType(std::string(tok[2]));
+          ObjectTypeId t = schema.FindObjectType(std::string(tok[3]));
           if (s == kInvalidObjectType || t == kInvalidObjectType) {
             return bad("link_type references unknown object type");
           }
-          auto r = schema.AddLinkType(tok[1], s, t);
+          auto r = schema.AddLinkType(std::string(tok[1]), s, t);
           if (!r.ok()) return r.status();
         } else if (cmd == "inverse") {
-          if (tok.size() != 3) return bad("inverse needs 2 fields");
-          inverses.emplace_back(tok[1], tok[2]);
+          if (n != 3) return bad("inverse needs 2 fields");
+          inverses.emplace_back(link_types.Intern(tok[1]),
+                                link_types.Intern(tok[2]));
         } else if (cmd == "node") {
-          if (tok.size() < 2) return bad("node needs at least 1 field");
-          nodes.push_back({tok[1], tok.size() > 2 ? tok[2] : ""});
+          if (n < 2) return bad("node needs at least 1 field");
+          if (n > 2) node_names += tok[2];
+          nodes.push_back({object_types.Intern(tok[1]), node_names.size()});
         } else if (cmd == "link") {
-          if (tok.size() != 5) return bad("link needs 4 fields");
+          if (n != 5) return bad("link needs 4 fields");
           PendingLink pl;
-          if (!ParseUint32(tok[1], &pl.src) ||
-              !ParseUint32(tok[2], &pl.dst) ||
-              !ParseDouble(tok[4], &pl.weight)) {
+          if (!ParseUnsigned(tok[1], &pl.src) ||
+              !ParseUnsigned(tok[2], &pl.dst) ||
+              !ParseNumber(tok[4], &pl.weight)) {
             return bad("link has malformed numeric field");
           }
-          pl.type = tok[3];
-          links.push_back(std::move(pl));
+          pl.type = link_types.Intern(tok[3]);
+          links.push_back(pl);
         } else if (cmd == "attribute") {
-          if (tok.size() < 3) return bad("attribute needs at least 2 fields");
+          if (n < 3) return bad("attribute needs at least 2 fields");
           if (tok[1] == "categorical") {
-            if (tok.size() != 4) {
-              return bad("categorical attribute needs vocab");
-            }
+            if (n != 4) return bad("categorical attribute needs vocab");
             size_t vocab = 0;
-            if (!ParseSizeT(tok[3], &vocab)) {
+            if (!ParseUnsigned(tok[3], &vocab)) {
               return bad("malformed vocabulary size");
             }
-            attr_decls.push_back({tok[2], AttributeKind::kCategorical, vocab});
+            if (vocab == 0) return bad("vocabulary size must be positive");
+            attr_decls.push_back(
+                {std::string(tok[2]), AttributeKind::kCategorical, vocab});
           } else if (tok[1] == "numerical") {
-            attr_decls.push_back({tok[2], AttributeKind::kNumerical, 0});
+            attr_decls.push_back(
+                {std::string(tok[2]), AttributeKind::kNumerical, 0});
           } else {
             return bad("unknown attribute kind");
           }
         } else if (cmd == "obs_term") {
-          if (tok.size() != 5) return bad("obs_term needs 4 fields");
+          if (n != 5) return bad("obs_term needs 4 fields");
           PendingTermObs o;
-          if (!ParseUint32(tok[2], &o.node) ||
-              !ParseUint32(tok[3], &o.term) ||
-              !ParseDouble(tok[4], &o.count)) {
+          if (!ParseUnsigned(tok[2], &o.node) ||
+              !ParseUnsigned(tok[3], &o.term) ||
+              !ParseNumber(tok[4], &o.count)) {
             return bad("obs_term has malformed numeric field");
           }
-          o.attr = tok[1];
-          term_obs.push_back(std::move(o));
+          o.attr = attr_names.Intern(tok[1]);
+          term_obs.push_back(o);
         } else if (cmd == "obs_value") {
-          if (tok.size() != 4) return bad("obs_value needs 3 fields");
+          if (n != 4) return bad("obs_value needs 3 fields");
           PendingValueObs o;
-          if (!ParseUint32(tok[2], &o.node) ||
-              !ParseDouble(tok[3], &o.value)) {
+          if (!ParseUnsigned(tok[2], &o.node) ||
+              !ParseNumber(tok[3], &o.value)) {
             return bad("obs_value has malformed numeric field");
           }
-          o.attr = tok[1];
-          value_obs.push_back(std::move(o));
+          o.attr = attr_names.Intern(tok[1]);
+          value_obs.push_back(o);
         } else if (cmd == "label") {
-          if (tok.size() != 3) return bad("label needs 2 fields");
+          if (n != 3) return bad("label needs 2 fields");
           NodeId v = 0;
           uint32_t l = 0;
-          if (!ParseUint32(tok[1], &v) || !ParseUint32(tok[2], &l)) {
+          if (!ParseUnsigned(tok[1], &v) || !ParseUnsigned(tok[2], &l)) {
             return bad("label has malformed numeric field");
           }
           label_records.emplace_back(v, l);
@@ -229,10 +396,16 @@ Result<Dataset> LoadDataset(const std::string& path) {
         }
         return Status::OK();
       }));
+  file.reset();
+
+  const std::vector<ObjectTypeId> object_type_ids = object_types.Resolve(
+      [&](const std::string& name) { return schema.FindObjectType(name); });
+  const std::vector<LinkTypeId> link_type_ids = link_types.Resolve(
+      [&](const std::string& name) { return schema.FindLinkType(name); });
 
   for (const auto& [a, b] : inverses) {
-    LinkTypeId ra = schema.FindLinkType(a);
-    LinkTypeId rb = schema.FindLinkType(b);
+    LinkTypeId ra = link_type_ids[a];
+    LinkTypeId rb = link_type_ids[b];
     if (ra == kInvalidLinkType || rb == kInvalidLinkType) {
       return Status::IoError("inverse references unknown link type");
     }
@@ -240,21 +413,24 @@ Result<Dataset> LoadDataset(const std::string& path) {
   }
 
   NetworkBuilder builder(schema);
+  size_t name_begin = 0;
   for (const PendingNode& pn : nodes) {
-    ObjectTypeId t = schema.FindObjectType(pn.type);
+    ObjectTypeId t = object_type_ids[pn.type];
     if (t == kInvalidObjectType) {
       return Status::IoError(
           StrFormat("node references unknown object type '%s'",
-                    pn.type.c_str()));
+                    object_types.name(pn.type).c_str()));
     }
-    auto r = builder.AddNode(t, pn.name);
+    auto r = builder.AddNode(
+        t, node_names.substr(name_begin, pn.name_end - name_begin));
     if (!r.ok()) return r.status();
+    name_begin = pn.name_end;
   }
   for (const PendingLink& pl : links) {
-    LinkTypeId r = schema.FindLinkType(pl.type);
+    LinkTypeId r = link_type_ids[pl.type];
     if (r == kInvalidLinkType) {
       return Status::IoError(StrFormat("link references unknown type '%s'",
-                                       pl.type.c_str()));
+                                       link_types.name(pl.type).c_str()));
     }
     GENCLUS_RETURN_IF_ERROR(builder.AddLink(pl.src, pl.dst, r, pl.weight));
   }
@@ -271,8 +447,10 @@ Result<Dataset> LoadDataset(const std::string& path) {
       dataset.attributes.push_back(Attribute::Numerical(pa.name, n));
     }
   }
+  const std::vector<AttributeId> attr_ids = attr_names.Resolve(
+      [&](const std::string& name) { return dataset.FindAttribute(name); });
   for (const PendingTermObs& o : term_obs) {
-    AttributeId id = dataset.FindAttribute(o.attr);
+    AttributeId id = attr_ids[o.attr];
     if (id == kInvalidAttribute) {
       return Status::IoError("obs_term references unknown attribute");
     }
@@ -280,7 +458,7 @@ Result<Dataset> LoadDataset(const std::string& path) {
         dataset.attributes[id].AddTermCount(o.node, o.term, o.count));
   }
   for (const PendingValueObs& o : value_obs) {
-    AttributeId id = dataset.FindAttribute(o.attr);
+    AttributeId id = attr_ids[o.attr];
     if (id == kInvalidAttribute) {
       return Status::IoError("obs_value references unknown attribute");
     }
