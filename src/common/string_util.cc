@@ -109,14 +109,4 @@ bool ParseSizeT(std::string_view s, size_t* out) {
   return true;
 }
 
-bool ParseUint32(std::string_view s, uint32_t* out) {
-  size_t value = 0;
-  if (!ParseSizeT(s, &value) ||
-      value > std::numeric_limits<uint32_t>::max()) {
-    return false;
-  }
-  *out = static_cast<uint32_t>(value);
-  return true;
-}
-
 }  // namespace genclus

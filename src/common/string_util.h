@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +34,5 @@ std::string StrFormat(const char* fmt, ...)
 /// can turn bad file contents into a clean Status.
 bool ParseDouble(std::string_view s, double* out);
 bool ParseSizeT(std::string_view s, size_t* out);
-bool ParseUint32(std::string_view s, uint32_t* out);
 
 }  // namespace genclus

@@ -206,41 +206,27 @@ void EmOptimizer::AccumulateLinkTerm(const std::vector<double>& gamma,
   }
 }
 
-double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
-                              std::vector<AttributeComponents>* components,
-                              EmWorkspace* ws, double* entry_objective) const {
-  GENCLUS_CHECK(theta != nullptr && components != nullptr && ws != nullptr);
-  GENCLUS_CHECK_EQ(theta->rows(), network_->num_nodes());
-  GENCLUS_CHECK_EQ(theta->cols(), config_->num_clusters);
-  GENCLUS_CHECK_EQ(gamma.size(), network_->schema().num_link_types());
-  GENCLUS_CHECK_EQ(components->size(), attributes_.size());
-
+template <int kFixedK>
+void EmOptimizer::FusedSweep(const std::vector<double>& gamma,
+                             const double* theta_data, bool track,
+                             EmWorkspace* ws) const {
+  const size_t num_clusters = kFixedK > 0
+                                  ? static_cast<size_t>(kFixedK)
+                                  : config_->num_clusters;
   const size_t n = network_->num_nodes();
-  const size_t num_clusters = config_->num_clusters;
-  const size_t num_blocks = NumBlocks();
-  const bool track = entry_objective != nullptr;
   const bool need_logs = has_numerical_ || track;
   const double log_theta_floor = std::log(kDefaultThetaFloor);
-
-  ws->Prepare(n, num_clusters, attributes_, num_blocks);
-  ws->PrepareSharding(*network_, config_->theta_shards);
-  RebuildDerivedTables(*components, ws);
-
-  const double* theta_data = theta->data().data();
   double* new_theta_data = ws->new_theta_.data().data();
-  if (n == 0) {
-    // No blocks run below; clear the lone reduction slot by hand so a
-    // reused workspace cannot leak stale statistics into the M-step.
-    for (auto& a : ws->block_acc_[0]) ZeroAccumulator(&a);
-    ws->block_delta_[0] = 0.0;
-    ws->block_objective_[0] = 0.0;
-  }
 
   ForEachFixedGrainBlock(pool_, n, kEmBlockGrain, [&](size_t b, size_t begin,
                                                       size_t end) {
     std::vector<EmComponentAccumulator>& acc = ws->block_acc_[b];
     for (auto& a : acc) ZeroAccumulator(&a);
-    double* resp = ws->scratch_.data() + b * 4 * num_clusters;
+    // Per-row scratch, 4 * K doubles: a local array the compiler can keep
+    // in registers when K is fixed, the block's workspace slot otherwise.
+    double fixed_scratch[kFixedK > 0 ? 4 * kFixedK : 1] = {};
+    double* resp = kFixedK > 0 ? fixed_scratch
+                               : ws->scratch_.data() + b * 4 * num_clusters;
     double* log_e = resp + num_clusters;  // E-step clamp (1e-300)
     double* log_s = log_e + num_clusters;  // structural clamp (theta floor)
     double* base = log_s + num_clusters;  // log theta_vk + log_norm_k
@@ -371,10 +357,63 @@ double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
     ws->block_delta_[b] = local_delta;
     ws->block_objective_[b] = local_obj;
   });
+}
+
+void EmOptimizer::Sweep(const std::vector<double>& gamma, const Matrix& theta,
+                        const std::vector<AttributeComponents>& components,
+                        bool track, EmWorkspace* ws) const {
+  GENCLUS_CHECK(ws != nullptr);
+  GENCLUS_CHECK_EQ(theta.rows(), network_->num_nodes());
+  GENCLUS_CHECK_EQ(theta.cols(), config_->num_clusters);
+  GENCLUS_CHECK_EQ(gamma.size(), network_->schema().num_link_types());
+  GENCLUS_CHECK_EQ(components.size(), attributes_.size());
+
+  const size_t n = network_->num_nodes();
+  const size_t num_clusters = config_->num_clusters;
+  ws->Prepare(n, num_clusters, attributes_, NumBlocks());
+  ws->PrepareSharding(*network_, config_->theta_shards);
+  RebuildDerivedTables(components, ws);
+  if (n == 0) {
+    // No blocks run below; clear the lone reduction slot by hand so a
+    // reused workspace cannot leak stale statistics into the M-step.
+    for (auto& a : ws->block_acc_[0]) ZeroAccumulator(&a);
+    ws->block_delta_[0] = 0.0;
+    ws->block_objective_[0] = 0.0;
+  }
+
+  // One K dispatch per sweep, with the same cases as SpmmRowsDispatch and
+  // InferSession::SweepRows.
+  const double* theta_data = theta.data().data();
+  switch (num_clusters) {
+    case 2:
+      FusedSweep<2>(gamma, theta_data, track, ws);
+      break;
+    case 3:
+      FusedSweep<3>(gamma, theta_data, track, ws);
+      break;
+    case 4:
+      FusedSweep<4>(gamma, theta_data, track, ws);
+      break;
+    case 8:
+      FusedSweep<8>(gamma, theta_data, track, ws);
+      break;
+    default:
+      FusedSweep<-1>(gamma, theta_data, track, ws);
+      break;
+  }
+}
+
+double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
+                              std::vector<AttributeComponents>* components,
+                              EmWorkspace* ws, double* entry_objective) const {
+  GENCLUS_CHECK(theta != nullptr && components != nullptr);
+  const bool track = entry_objective != nullptr;
+  Sweep(gamma, *theta, *components, track, ws);
 
   // Deterministic reduction: fold block partials in block order, so the
   // merged statistics (and hence beta and the Gaussians) never depend on
   // how blocks were scheduled across threads.
+  const size_t num_blocks = NumBlocks();
   double delta = 0.0;
   for (size_t b = 0; b < num_blocks; ++b) {
     delta = std::max(delta, ws->block_delta_[b]);
@@ -398,99 +437,14 @@ double EmOptimizer::FusedObjective(
     const std::vector<double>& gamma, const Matrix& theta,
     const std::vector<AttributeComponents>& components,
     EmWorkspace* ws) const {
-  // This sweep deliberately mirrors the `track` arithmetic of FusedStep
-  // (same SpMM link mix, log hoists, arg-max exp skip) minus the state
-  // updates — keep the two in sync. The FusedTraceMatchesG1Objective test
-  // pins both against objective.h's independent G1Objective, so drift in
-  // either copy fails the suite.
-  GENCLUS_CHECK(ws != nullptr);
-  GENCLUS_CHECK_EQ(theta.rows(), network_->num_nodes());
-  GENCLUS_CHECK_EQ(theta.cols(), config_->num_clusters);
-  GENCLUS_CHECK_EQ(gamma.size(), network_->schema().num_link_types());
-  GENCLUS_CHECK_EQ(components.size(), attributes_.size());
-
-  const size_t num_clusters = config_->num_clusters;
-  const size_t num_blocks = NumBlocks();
-  const double log_theta_floor = std::log(kDefaultThetaFloor);
-
-  const size_t n = network_->num_nodes();
-  ws->Prepare(n, num_clusters, attributes_, num_blocks);
-  ws->PrepareSharding(*network_, config_->theta_shards);
-  RebuildDerivedTables(components, ws);
-  const double* theta_data = theta.data().data();
-  double* mix_data = ws->new_theta_.data().data();  // scratch rows only
-  if (n == 0) ws->block_objective_[0] = 0.0;
-
-  ForEachFixedGrainBlock(pool_, n, kEmBlockGrain, [&](size_t b, size_t begin,
-                                                      size_t end) {
-    double* resp = ws->scratch_.data() + b * 4 * num_clusters;
-    double* log_e = resp + num_clusters;
-    double* log_s = log_e + num_clusters;
-    double* base = log_s + num_clusters;
-
-    std::fill(mix_data + begin * num_clusters, mix_data + end * num_clusters,
-              0.0);
-    AccumulateLinkTerm(gamma, theta_data, begin, end, ws, mix_data);
-
-    double local_obj = 0.0;
-    for (size_t vi = begin; vi < end; ++vi) {
-      const NodeId v = static_cast<NodeId>(vi);
-      const double* theta_v = theta_data + vi * num_clusters;
-      const double* mix = mix_data + vi * num_clusters;
-      for (size_t k = 0; k < num_clusters; ++k) {
-        const double tk = theta_v[k] > 0.0 ? theta_v[k] : 1e-300;
-        log_e[k] = std::log(tk);
-        log_s[k] = theta_v[k] < kDefaultThetaFloor ? log_theta_floor
-                                                   : log_e[k];
-        local_obj += log_s[k] * mix[k];
-      }
-      for (size_t t = 0; t < attributes_.size(); ++t) {
-        const Attribute& attr = *attributes_[t];
-        if (attr.kind() == AttributeKind::kCategorical) {
-          const Matrix& beta_t = ws->beta_transpose_[t];
-          for (const TermCount& tc : attr.TermCounts(v)) {
-            const double* beta_term = beta_t.Row(tc.term);
-            double total = 0.0;
-            for (size_t k = 0; k < num_clusters; ++k) {
-              total += theta_v[k] * beta_term[k];
-            }
-            local_obj += tc.count * std::log(total > 0.0 ? total : 1e-300);
-          }
-        } else {
-          const std::vector<double>& values = attr.Values(v);
-          if (values.empty()) continue;
-          const GaussianEvalTable& table = ws->gaussians_[t];
-          const double* mean = table.means().data();
-          const double* neg_half_inv_var = table.neg_half_inv_vars().data();
-          const double* log_norm = table.log_norms().data();
-          for (size_t k = 0; k < num_clusters; ++k) {
-            base[k] = log_e[k] + log_norm[k];
-          }
-          for (double x : values) {
-            double max_log = kNegInf;
-            size_t arg_max = 0;
-            for (size_t k = 0; k < num_clusters; ++k) {
-              const double d = x - mean[k];
-              resp[k] = base[k] + neg_half_inv_var[k] * d * d;
-              if (resp[k] > max_log) {
-                max_log = resp[k];
-                arg_max = k;
-              }
-            }
-            double total = 0.0;
-            for (size_t k = 0; k < num_clusters; ++k) {
-              total += k == arg_max ? 1.0 : std::exp(resp[k] - max_log);
-            }
-            local_obj += max_log + std::log(total);
-          }
-        }
-      }
-    }
-    ws->block_objective_[b] = local_obj;
-  });
-
+  // g1 at (theta, components) is the entry objective of the step taken
+  // from that iterate: run its sweep and read only the objective partials.
+  // theta and components are not written; the sweep's new rows and block
+  // statistics stay in the workspace, where the next sweep overwrites
+  // them.
+  Sweep(gamma, theta, components, /*track=*/true, ws);
   double obj = 0.0;
-  for (size_t b = 0; b < num_blocks; ++b) obj += ws->block_objective_[b];
+  for (size_t b = 0; b < NumBlocks(); ++b) obj += ws->block_objective_[b];
   return obj;
 }
 

@@ -19,8 +19,12 @@
 // (linalg/spmm.h) over Network::OutCsr views, and the attribute E-step
 // reads a term-major transpose of beta plus hoisted per-cluster Gaussian
 // constants (GaussianEvalTable) instead of calling LogPdf per
-// (observation, cluster). All scratch state lives in an EmWorkspace that
-// Run allocates once and every Step reuses.
+// (observation, cluster). Like the SpMM row kernels and the serving
+// sweeps, the per-row body is one template over K, dispatched once per
+// sweep: K in {2, 3, 4, 8} gets a fully unrolled instantiation with its
+// per-row scratch in local arrays, any other K the runtime-K one. All
+// other scratch state lives in an EmWorkspace that Run allocates once
+// and every Step reuses.
 //
 // Determinism: the node range is cut into fixed-size blocks (a function of
 // n only, never of the thread count); each block accumulates its component
@@ -51,7 +55,7 @@ struct EmStats {
   /// g1 objective after each EM iteration, filled only when
   /// track_objective. Entries up to the second-to-last are computed for
   /// free inside the next iteration's fused sweep; only the last iterate
-  /// pays a dedicated (blocked, parallel) objective pass.
+  /// pays one more sweep (FusedObjective) for its entry.
   std::vector<double> objective_trace;
   /// Max |Theta_t - Theta_{t-1}| at the last iteration.
   double final_delta = 0.0;
@@ -105,7 +109,8 @@ class EmWorkspace {
   // Per-block scratch: 4 * K doubles each (responsibilities, log theta_v
   // clamped for the E-step, log theta_v clamped for the structural score,
   // and the hoisted log theta_vk + log_norm_k base of the Gaussian
-  // E-step).
+  // E-step). The runtime-K sweep uses it; the K-specialized sweeps keep
+  // the same four rows in local arrays.
   std::vector<double> scratch_;
   // Term-major transpose of each categorical attribute's beta (vocab x K),
   // so the per-term E-step reads K contiguous doubles.
@@ -156,8 +161,9 @@ class EmOptimizer {
                        std::vector<AttributeComponents>* components) const;
 
   /// g1 objective (feature part + attribute log-likelihood) at the given
-  /// iterate, computed with the same blocked sweep and hoisted constants
-  /// as Step — equal to objective.h's G1Objective up to floating-point
+  /// iterate: the entry objective of the blocked sweep a Step from that
+  /// iterate runs (one sweep's cost; `theta` and `components` are not
+  /// written). Equal to objective.h's G1Objective up to floating-point
   /// reassociation, and bitwise invariant to the thread count.
   double FusedObjective(const std::vector<double>& gamma, const Matrix& theta,
                         const std::vector<AttributeComponents>& components,
@@ -175,6 +181,23 @@ class EmOptimizer {
   double FusedStep(const std::vector<double>& gamma, Matrix* theta,
                    std::vector<AttributeComponents>* components,
                    EmWorkspace* workspace, double* entry_objective) const;
+
+  // The sweep behind FusedStep and FusedObjective: sizes `workspace`,
+  // rebuilds its derived tables and runs FusedSweep at (theta,
+  // components) with one K dispatch, leaving the new rows, block
+  // statistics and block partials (the entry objective when `track`) in
+  // `workspace`.
+  void Sweep(const std::vector<double>& gamma, const Matrix& theta,
+             const std::vector<AttributeComponents>& components, bool track,
+             EmWorkspace* workspace) const;
+
+  // The blocked sweep body: per block, the link term, then per row the
+  // log hoists, the categorical and Gaussian E-step, the normalization
+  // and the delta. kFixedK > 0 is a compile-time cluster count; -1 reads
+  // K from the config. Every instantiation computes the same bits.
+  template <int kFixedK>
+  void FusedSweep(const std::vector<double>& gamma, const double* theta_data,
+                  bool track, EmWorkspace* workspace) const;
 
   // Link part of the fused sweeps: out rows [begin, end) +=
   // sum_r gamma_r (W_r Theta), each relation computed per column shard in

@@ -31,6 +31,17 @@ double LinkFeature(std::span<const double> theta_i,
 double CrossEntropyScore(std::span<const double> theta_i,
                          std::span<const double> theta_j);
 
+/// The source-node factor of CrossEntropyScore: log_theta_i[k] =
+/// log max(theta_ik, kDefaultThetaFloor). A caller scoring every out-link
+/// of one node takes these logs once per node instead of once per link.
+void FlooredLogTheta(std::span<const double> theta_i,
+                     std::span<double> log_theta_i);
+
+/// CrossEntropyScore(theta_i, theta_j) from FlooredLogTheta(theta_i):
+/// the same operations on the same values, so the same bits.
+double CrossEntropyScoreFromLogs(std::span<const double> log_theta_i,
+                                 std::span<const double> theta_j);
+
 /// Sum of f over every link of the network: the exponent of the log-linear
 /// structural model (Eq. 7) up to the partition function.
 double StructuralScore(const Network& network, const Matrix& theta,

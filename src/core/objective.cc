@@ -33,15 +33,34 @@ double AttributeLogLikelihood(const Attribute& attribute,
       }
     }
   } else {
+    // Each Gaussian's normalizer once per call and log theta_vk once per
+    // node; per observation, the rest of GaussianDistribution::LogPdf in
+    // its own operation order, so every term keeps its bits.
+    std::vector<double> mean(num_clusters);
+    std::vector<double> variance(num_clusters);
+    std::vector<double> log_norm(num_clusters);
+    for (size_t k = 0; k < num_clusters; ++k) {
+      const GaussianDistribution& g =
+          components.gaussian(static_cast<ClusterId>(k));
+      mean[k] = g.mean();
+      variance[k] = g.variance();
+      log_norm[k] = -0.5 * (kLogTwoPi + std::log(variance[k]));
+    }
+    std::vector<double> log_theta_v(num_clusters);
     std::vector<double> logs(num_clusters);
     for (NodeId v = 0; v < attribute.num_nodes(); ++v) {
       const auto& values = attribute.Values(v);
       if (values.empty()) continue;
       const double* theta_v = theta.Row(v);
+      for (size_t k = 0; k < num_clusters; ++k) {
+        const double t = theta_v[k] > 0.0 ? theta_v[k] : 1e-300;
+        log_theta_v[k] = std::log(t);
+      }
       for (double x : values) {
         for (size_t k = 0; k < num_clusters; ++k) {
-          const double t = theta_v[k] > 0.0 ? theta_v[k] : 1e-300;
-          logs[k] = std::log(t) + components.LogPdf(k, x);
+          const double d = x - mean[k];
+          logs[k] = log_theta_v[k] +
+                    (log_norm[k] - d * d / (2.0 * variance[k]));
         }
         total += LogSumExp(logs);
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -60,10 +61,12 @@ StrengthLearner::StrengthLearner(const Network* network, const Matrix* theta,
   group_f_coeff_.assign(total_groups, 0.0);
   group_s_.assign(total_groups * num_clusters_, 0.0);
   const auto fill = [&](size_t begin, size_t end) {
+    std::vector<double> log_theta_v(num_clusters_);
     for (size_t i = begin; i < end; ++i) {
       const NodeId v = stat_nodes[i];
       auto links = network_->OutLinks(v);
-      std::span<const double> theta_v(theta_->Row(v), num_clusters_);
+      // CrossEntropyScore's logs of theta_v, once per node, not per link.
+      FlooredLogTheta({theta_->Row(v), num_clusters_}, log_theta_v);
       size_t g = node_group_offsets_[i];
       size_t pos = 0;
       while (pos < links.size()) {
@@ -73,13 +76,13 @@ StrengthLearner::StrengthLearner(const Network* network, const Matrix* theta,
         double f_coeff = 0.0;
         while (pos < links.size() && links[pos].type == r) {
           const LinkEntry& e = links[pos];
-          const double* theta_u = theta_->Row(e.neighbor);
+          const std::span<const double> theta_u(theta_->Row(e.neighbor),
+                                                num_clusters_);
           for (size_t k = 0; k < num_clusters_; ++k) {
             s[k] += e.weight * theta_u[k];
           }
           total_weight += e.weight;
-          f_coeff += e.weight *
-                     CrossEntropyScore(theta_v, {theta_u, num_clusters_});
+          f_coeff += e.weight * CrossEntropyScoreFromLogs(log_theta_v, theta_u);
           ++pos;
         }
         group_relation_[g] = r;
@@ -102,7 +105,7 @@ StrengthLearner::StrengthLearner(const Network* network, const Matrix* theta,
 
 void StrengthLearner::AccumulateRange(size_t begin, size_t end,
                                       const std::vector<double>& gamma,
-                                      bool derivatives,
+                                      bool objective, bool derivatives,
                                       Evaluation* out) const {
   std::vector<double> alpha(num_clusters_);
   std::vector<double> psi(num_clusters_);
@@ -116,7 +119,7 @@ void StrengthLearner::AccumulateRange(size_t begin, size_t end,
     std::fill(alpha.begin(), alpha.end(), 1.0);
     for (size_t g = gbegin; g < gend; ++g) {
       const double gm = gamma[group_relation_[g]];
-      out->objective += gm * group_f_coeff_[g];
+      if (objective) out->objective += gm * group_f_coeff_[g];
       if (gm == 0.0) continue;
       const double* s = group_s_.data() + g * num_clusters_;
       for (size_t k = 0; k < num_clusters_; ++k) alpha[k] += gm * s[k];
@@ -125,10 +128,10 @@ void StrengthLearner::AccumulateRange(size_t begin, size_t end,
     double log_gamma_sum = 0.0;
     for (size_t k = 0; k < num_clusters_; ++k) {
       alpha0 += alpha[k];
-      log_gamma_sum += LogGamma(alpha[k]);
+      if (objective) log_gamma_sum += LogGamma(alpha[k]);
     }
     // - log Z_i = - log B(alpha_i).
-    out->objective -= log_gamma_sum - LogGamma(alpha0);
+    if (objective) out->objective -= log_gamma_sum - LogGamma(alpha0);
 
     if (!derivatives) continue;
 
@@ -170,7 +173,8 @@ void StrengthLearner::AccumulateRange(size_t begin, size_t end,
 }
 
 StrengthLearner::Evaluation StrengthLearner::Reduce(
-    const std::vector<double>& gamma, bool derivatives) const {
+    const std::vector<double>& gamma, bool objective,
+    bool derivatives) const {
   GENCLUS_CHECK_EQ(gamma.size(), num_relations_);
   const auto make = [this, derivatives] {
     Evaluation e;
@@ -183,7 +187,7 @@ StrengthLearner::Evaluation StrengthLearner::Reduce(
   Evaluation total = ParallelForReduce<Evaluation>(
       pool_, num_stat_nodes(), kReduceGrain, make,
       [&](Evaluation& state, size_t begin, size_t end) {
-        AccumulateRange(begin, end, gamma, derivatives, &state);
+        AccumulateRange(begin, end, gamma, objective, derivatives, &state);
       },
       [this, derivatives](Evaluation& into, Evaluation&& from) {
         into.objective += from.objective;
@@ -197,7 +201,9 @@ StrengthLearner::Evaluation StrengthLearner::Reduce(
 
   const double sigma2 =
       config_->gamma_prior_sigma * config_->gamma_prior_sigma;
-  for (double g : gamma) total.objective -= g * g / (2.0 * sigma2);
+  if (objective) {
+    for (double g : gamma) total.objective -= g * g / (2.0 * sigma2);
+  }
   if (derivatives) {
     for (size_t r = 0; r < num_relations_; ++r) {
       total.gradient[r] -= gamma[r] / sigma2;
@@ -209,12 +215,12 @@ StrengthLearner::Evaluation StrengthLearner::Reduce(
 
 StrengthLearner::Evaluation StrengthLearner::EvalAll(
     const std::vector<double>& gamma) const {
-  return Reduce(gamma, /*derivatives=*/true);
+  return Reduce(gamma, /*objective=*/true, /*derivatives=*/true);
 }
 
 double StrengthLearner::FusedObjective(
     const std::vector<double>& gamma) const {
-  return Reduce(gamma, /*derivatives=*/false).objective;
+  return Reduce(gamma, /*objective=*/true, /*derivatives=*/false).objective;
 }
 
 // The reference implementations below are deliberately NOT built on
@@ -333,7 +339,10 @@ std::vector<double> StrengthLearner::Learn(const std::vector<double>& gamma,
 
   for (size_t iter = 0; iter < config_->newton_iterations; ++iter) {
     local.iterations = iter + 1;
-    const Evaluation eval = EvalAll(current);
+    // Gradient and Hessian only: g2' at `current` is current_obj already,
+    // from the line search that accepted it (or from the start above).
+    const Evaluation eval =
+        Reduce(current, /*objective=*/false, /*derivatives=*/true);
 
     // Newton direction: solve H * delta = grad, step gamma - delta.
     // H is negative definite, so -delta is an ascent direction.

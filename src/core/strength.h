@@ -15,6 +15,8 @@
 // log-gamma, digamma and trigamma evaluations that separate passes would
 // recompute), blocked over a ThreadPool with a deterministic block-order
 // reduction — the result is bitwise identical for any thread count.
+// Learn runs the same traversal for just the terms it reads: gradient and
+// Hessian per Newton step, the objective per line-search point.
 #pragma once
 
 #include <vector>
@@ -61,8 +63,10 @@ class StrengthLearner {
   Evaluation EvalAll(const std::vector<double>& gamma) const;
 
   /// Maximizes g2' starting from `gamma` (paper: the previous outer
-  /// iterate). Returns the new gamma; `stats` may be null. Uses the fused
-  /// EvalAll path, so the learned gamma is thread-count-invariant.
+  /// iterate). Returns the new gamma; `stats` may be null. Runs on the
+  /// fused traversal behind EvalAll — gradient and Hessian for each Newton
+  /// step, the objective for the line search — so the learned gamma is
+  /// thread-count-invariant and equal to a Newton loop over EvalAll.
   std::vector<double> Learn(const std::vector<double>& gamma,
                             StrengthStats* stats) const;
 
@@ -95,17 +99,19 @@ class StrengthLearner {
 
   size_t num_stat_nodes() const { return node_group_offsets_.size() - 1; }
 
-  // Accumulates nodes [begin, end)'s contribution to the objective (and,
-  // when `derivatives`, gradient + Hessian) of the data term into *out.
-  // The prior is NOT applied here. The objective arithmetic is identical
-  // whether or not derivatives are requested.
+  // Accumulates nodes [begin, end)'s contribution to the objective (when
+  // `objective`) and to gradient + Hessian (when `derivatives`) of the
+  // data term into *out. The prior is NOT applied here. Each term's
+  // arithmetic is identical whichever others are requested.
   void AccumulateRange(size_t begin, size_t end,
-                       const std::vector<double>& gamma, bool derivatives,
-                       Evaluation* out) const;
+                       const std::vector<double>& gamma, bool objective,
+                       bool derivatives, Evaluation* out) const;
 
   // Blocked reduction over all stat nodes (via ParallelForReduce), prior
-  // applied. `derivatives` false leaves gradient/hessian empty.
-  Evaluation Reduce(const std::vector<double>& gamma,
+  // applied. `objective` false leaves the objective 0 and skips its
+  // log-gamma calls (Learn's Newton step); `derivatives` false leaves
+  // gradient/hessian empty (the line search).
+  Evaluation Reduce(const std::vector<double>& gamma, bool objective,
                     bool derivatives) const;
 
   // Fused parallel objective-only evaluation (line-search path).

@@ -14,7 +14,8 @@ namespace genclus {
 
 /// log(2*pi), the Gaussian log-normalizer constant shared by
 /// GaussianDistribution::LogPdf and callers that hoist the per-cluster
-/// constants out of their inner loops (core/components.h).
+/// constants out of their inner loops (core/components.h,
+/// core/objective.cc).
 inline constexpr double kLogTwoPi = 1.8378770664093454836;
 
 /// Categorical distribution over a vocabulary {0, ..., m-1}; the cluster

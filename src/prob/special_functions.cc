@@ -10,7 +10,12 @@ namespace genclus {
 
 double LogGamma(double x) {
   GENCLUS_DCHECK(x > 0.0);
-  return std::lgamma(x);
+  // lgamma_r runs the same glibc kernel as std::lgamma, so the value is
+  // the same bits, but it hands the sign of Gamma(x) to a local instead
+  // of storing it to the process-global signgam on every call — a store
+  // all pool workers would share.
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
 }
 
 double Digamma(double x) {
@@ -55,9 +60,9 @@ double LogMultivariateBeta(const std::vector<double>& alpha) {
   for (double a : alpha) {
     GENCLUS_DCHECK(a > 0.0);
     sum_alpha += a;
-    sum_lgamma += std::lgamma(a);
+    sum_lgamma += LogGamma(a);
   }
-  return sum_lgamma - std::lgamma(sum_alpha);
+  return sum_lgamma - LogGamma(sum_alpha);
 }
 
 double LogSumExp(const std::vector<double>& x) {

@@ -7,7 +7,9 @@
 
 namespace genclus {
 
-/// log Gamma(x) for x > 0.
+/// log Gamma(x) for x > 0: bitwise std::lgamma(x), without std::lgamma's
+/// store to the process-global signgam, so pool workers may call it
+/// concurrently. Every log-gamma in the library goes through here.
 double LogGamma(double x);
 
 /// Digamma psi(x) = d/dx log Gamma(x), x > 0. Accurate to ~1e-12 via

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/init.h"
 #include "core/objective.h"
@@ -274,7 +275,26 @@ TEST_F(EmFixture, EstimateComponentsFromLabels) {
   EXPECT_GT(std::fabs(c0_own - c0_other), 0.8);
 }
 
-TEST_F(EmFixture, KernelStepMatchesReferenceOnTextFixture) {
+// The kernel-path checks at every cluster count the sweep dispatches on:
+// K = 2, 3, 4 and 8 run the unrolled instantiations, K = 5 the runtime-K
+// fallback.
+class EmKernelByKTest : public EmFixture,
+                        public ::testing::WithParamInterface<size_t> {
+ protected:
+  void SetUp() override {
+    EmFixture::SetUp();
+    config_.num_clusters = GetParam();
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    ClusterCounts, EmKernelByKTest,
+    ::testing::Values(size_t{2}, size_t{3}, size_t{4}, size_t{5}, size_t{8}),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return "K" + std::to_string(info.param);
+    });
+
+TEST_P(EmKernelByKTest, KernelStepMatchesReferenceOnTextFixture) {
   // The typed-CSR/SpMM kernel path must reproduce the original per-link
   // AoS traversal within 1e-12 on every iterate of a multi-step run.
   Matrix theta_kernel;
@@ -298,7 +318,7 @@ TEST_F(EmFixture, KernelStepMatchesReferenceOnTextFixture) {
   }
 }
 
-TEST_F(EmFixture, KernelStepMatchesReferenceWithNumericalAttributes) {
+TEST_P(EmKernelByKTest, KernelStepMatchesReferenceWithNumericalAttributes) {
   // Same cross-check with a numerical attribute carried by half the docs
   // (incomplete), so the Gaussian-constant path and the incomplete-
   // attribute path both run.
@@ -314,7 +334,7 @@ TEST_F(EmFixture, KernelStepMatchesReferenceWithNumericalAttributes) {
   std::vector<const Attribute*> attrs = {&values};
   EmOptimizer opt(&net_fixture.dataset.network, attrs, &config_, nullptr);
   Rng rng(31);
-  Matrix theta_kernel = RandomTheta(n, 2, &rng);
+  Matrix theta_kernel = RandomTheta(n, config_.num_clusters, &rng);
   auto comps_kernel = InitialComponents(attrs, config_, &rng);
   Matrix theta_ref = theta_kernel;
   auto comps_ref = comps_kernel;
@@ -325,7 +345,7 @@ TEST_F(EmFixture, KernelStepMatchesReferenceWithNumericalAttributes) {
     opt.ReferenceStep(gamma_, &theta_ref, &comps_ref);
     EXPECT_LT(Matrix::MaxAbsDiff(theta_kernel, theta_ref), 1e-12)
         << "step " << step;
-    for (size_t k = 0; k < 2; ++k) {
+    for (ClusterId k = 0; k < config_.num_clusters; ++k) {
       EXPECT_NEAR(comps_kernel[0].gaussian(k).mean(),
                   comps_ref[0].gaussian(k).mean(), 1e-12);
       EXPECT_NEAR(comps_kernel[0].gaussian(k).variance(),
@@ -334,7 +354,7 @@ TEST_F(EmFixture, KernelStepMatchesReferenceWithNumericalAttributes) {
   }
 }
 
-TEST_F(EmFixture, StepIsBitwiseInvariantToThreadCount) {
+TEST_P(EmKernelByKTest, StepIsBitwiseInvariantToThreadCount) {
   // The fixed-grain block partition and block-ordered merge make one Step
   // bit-identical for any pool size, including no pool at all.
   Matrix theta_serial;

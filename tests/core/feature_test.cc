@@ -79,22 +79,48 @@ TEST(FeatureTest, FlooringKeepsValueFinite) {
 }
 
 TEST(StructuralScoreTest, AgreesWithManualSum) {
-  auto fixture = MakeTwoCommunityNetwork(3, 1.0, 1);
+  // StructuralScore takes each source node's floored logs once per node;
+  // its sum must be bit for bit the per-link LinkFeature sum, with rows
+  // holding exact zeros (skipped as a target, floored as a source) and
+  // entries under kDefaultThetaFloor.
+  auto fixture = MakeTwoCommunityNetwork(6, 1.0, 4);
   const Network& net = fixture.dataset.network;
-  const size_t n = net.num_nodes();
-  Matrix theta(n, 2);
-  Rng rng(5);
-  for (size_t v = 0; v < n; ++v) theta.SetRow(v, rng.SimplexUniform(2));
-  std::vector<double> gamma = {1.5, 0.5, 2.0};
+  const std::vector<double> gamma = {1.5, 0.25, 2.0};
+  for (size_t k : {2u, 3u, 5u}) {
+    Matrix theta(net.num_nodes(), k);
+    Rng rng(11 + k);
+    for (size_t v = 0; v < net.num_nodes(); ++v) {
+      Vector row = rng.SimplexUniform(k);
+      if (v % 3 == 0) row[0] = 0.0;
+      if (v % 4 == 1) row[k - 1] = 1e-15;
+      theta.SetRow(v, row);
+    }
+    double manual = 0.0;
+    for (NodeId v = 0; v < net.num_nodes(); ++v) {
+      for (const LinkEntry& e : net.OutLinks(v)) {
+        manual += LinkFeature({theta.Row(v), k}, {theta.Row(e.neighbor), k},
+                              gamma[e.type], e.weight);
+      }
+    }
+    EXPECT_EQ(StructuralScore(net, theta, gamma), manual) << "K=" << k;
+  }
+}
 
-  double manual = 0.0;
-  for (NodeId v = 0; v < n; ++v) {
-    for (const LinkEntry& e : net.OutLinks(v)) {
-      manual += LinkFeature({theta.Row(v), 2}, {theta.Row(e.neighbor), 2},
-                            gamma[e.type], e.weight);
+TEST(FeatureTest, ScoreFromLogsIsBitwiseCrossEntropyScore) {
+  Rng rng(9);
+  for (size_t k : {2u, 4u, 7u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      Vector theta_i = rng.SimplexUniform(k);
+      Vector theta_j = rng.SimplexUniform(k);
+      theta_i[trial % k] = trial % 2 == 0 ? 0.0 : 1e-14;
+      theta_j[(trial + 1) % k] = 0.0;
+      Vector log_theta_i(k);
+      FlooredLogTheta(theta_i, log_theta_i);
+      EXPECT_EQ(CrossEntropyScoreFromLogs(log_theta_i, theta_j),
+                CrossEntropyScore(theta_i, theta_j))
+          << "K=" << k << " trial " << trial;
     }
   }
-  EXPECT_NEAR(StructuralScore(net, theta, gamma), manual, 1e-9);
 }
 
 TEST(StructuralScoreTest, DecomposesByRelation) {

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "core/feature.h"
+#include "prob/special_functions.h"
 #include "tests/core/test_fixtures.h"
 
 namespace genclus {
@@ -40,6 +41,71 @@ TEST(ObjectiveTest, GaussianLikelihoodManualCheck) {
   theta(0, 0) = 1.0;
   EXPECT_NEAR(AttributeLogLikelihood(values, comp, theta),
               -0.5 * std::log(2.0 * M_PI), 1e-9);
+}
+
+// The reference AttributeLogLikelihood is checked against for a
+// numerical attribute: per observation, log theta_vk (clamped at 1e-300)
+// plus AttributeComponents::LogPdf, through LogSumExp.
+double PerObservationLogLikelihood(const Attribute& attribute,
+                                   const AttributeComponents& components,
+                                   const Matrix& theta) {
+  const size_t k = theta.cols();
+  std::vector<double> logs(k);
+  double total = 0.0;
+  for (NodeId v = 0; v < attribute.num_nodes(); ++v) {
+    for (double x : attribute.Values(v)) {
+      for (size_t c = 0; c < k; ++c) {
+        const double t = theta(v, c) > 0.0 ? theta(v, c) : 1e-300;
+        logs[c] =
+            std::log(t) + components.LogPdf(static_cast<ClusterId>(c), x);
+      }
+      total += LogSumExp(logs);
+    }
+  }
+  return total;
+}
+
+TEST(ObjectiveTest, GaussianLikelihoodBitwiseEqualToPerObservationLoop) {
+  // AttributeLogLikelihood hoists each Gaussian's normalizer and log
+  // theta_vk; the result must be bit for bit the per-observation
+  // LogPdf + LogSumExp loop. Single-observation calls keep a one-ulp slip
+  // in any term from vanishing into a larger sum; the multi-node call
+  // adds zero theta entries and nodes without observations.
+  for (size_t k : {2u, 3u, 5u}) {
+    Rng rng(17 + k);
+    std::vector<GaussianDistribution> gaussians;
+    for (size_t c = 0; c < k; ++c) {
+      gaussians.emplace_back(3.0 * c + rng.Uniform(-0.5, 0.5),
+                             rng.Uniform(0.3, 4.0));
+    }
+    const auto comp = AttributeComponents::Numerical(gaussians);
+    for (int trial = 0; trial < 200; ++trial) {
+      Attribute one = Attribute::Numerical("x", 1);
+      ASSERT_TRUE(one.AddValue(0, rng.Uniform(-3.0, 3.0 * k)).ok());
+      Matrix theta(1, k);
+      theta.SetRow(0, rng.SimplexUniform(k));
+      EXPECT_EQ(AttributeLogLikelihood(one, comp, theta),
+                PerObservationLogLikelihood(one, comp, theta))
+          << "K=" << k << " trial " << trial;
+    }
+    const size_t n = 40;
+    Attribute values = Attribute::Numerical("x", n);
+    for (NodeId v = 0; v < n; ++v) {
+      if (v % 5 == 4) continue;
+      for (size_t rep = 0; rep <= v % 3; ++rep) {
+        ASSERT_TRUE(values.AddValue(v, rng.Gaussian(3.0 * (v % k), 1.5)).ok());
+      }
+    }
+    Matrix theta(n, k);
+    for (NodeId v = 0; v < n; ++v) {
+      Vector row = rng.SimplexUniform(k);
+      if (v % 4 == 0) row[v % k] = 0.0;
+      theta.SetRow(v, row);
+    }
+    EXPECT_EQ(AttributeLogLikelihood(values, comp, theta),
+              PerObservationLogLikelihood(values, comp, theta))
+        << "K=" << k;
+  }
 }
 
 TEST(ObjectiveTest, MixtureBeatsWrongComponent) {

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/feature.h"
 #include "linalg/solve.h"
@@ -244,6 +247,108 @@ TEST_F(StrengthFixture, LearnedGammaInvariantToThreadCount) {
     }
     EXPECT_EQ(stats.iterations, serial_stats.iterations);
     EXPECT_EQ(stats.objective, serial_stats.objective);
+  }
+}
+
+// Learn's projected Newton loop written over the public EvalAll: every
+// objective, the line search's included, is EvalAll(x).objective, and
+// every step's gradient and Hessian come from the same full evaluation.
+struct NewtonReplay {
+  std::vector<double> gamma;
+  StrengthStats stats;
+};
+
+NewtonReplay NewtonLoopOverEvalAll(const StrengthLearner& learner,
+                                   const GenClusConfig& config,
+                                   const std::vector<double>& start) {
+  const size_t num_relations = start.size();
+  std::vector<double> current = start;
+  for (double& g : current) g = std::max(0.0, g);
+  StrengthStats local;
+  double current_obj = learner.EvalAll(current).objective;
+  for (size_t iter = 0; iter < config.newton_iterations; ++iter) {
+    local.iterations = iter + 1;
+    const StrengthLearner::Evaluation eval = learner.EvalAll(current);
+    std::vector<double> next;
+    bool have_newton = false;
+    auto solve = SolveLinearSystem(eval.hessian, eval.gradient);
+    if (solve.ok()) {
+      next = current;
+      bool finite = true;
+      for (size_t r = 0; r < num_relations; ++r) {
+        next[r] -= (*solve)[r];
+        if (!std::isfinite(next[r])) finite = false;
+      }
+      have_newton = finite;
+    }
+    if (!have_newton) {
+      local.used_gradient_fallback = true;
+      const double gnorm = Norm2(eval.gradient);
+      const double step = gnorm > 0.0 ? 1.0 / (1.0 + gnorm) : 0.0;
+      next = current;
+      for (size_t r = 0; r < num_relations; ++r) {
+        next[r] += step * eval.gradient[r];
+      }
+    }
+    for (double& g : next) g = std::max(0.0, g);
+    double next_obj = learner.EvalAll(next).objective;
+    double shrink = 0.5;
+    size_t backtracks = 0;
+    while (next_obj < current_obj - 1e-12 && backtracks < 40) {
+      for (size_t r = 0; r < num_relations; ++r) {
+        next[r] = current[r] + shrink * (next[r] - current[r]);
+      }
+      next_obj = learner.EvalAll(next).objective;
+      ++backtracks;
+    }
+    if (next_obj < current_obj - 1e-12) {
+      local.converged = true;
+      break;
+    }
+    double delta = 0.0;
+    for (size_t r = 0; r < num_relations; ++r) {
+      delta = std::max(delta, std::fabs(next[r] - current[r]));
+    }
+    current = std::move(next);
+    current_obj = next_obj;
+    if (delta < config.newton_tolerance) {
+      local.converged = true;
+      break;
+    }
+  }
+  local.objective = current_obj;
+  return {current, local};
+}
+
+TEST_F(StrengthFixture, LearnMatchesNewtonLoopOverEvalAll) {
+  // Learn's Newton step reduces gradient and Hessian only, reusing the
+  // line search's objective: the iterate, the iteration count and the
+  // objective must be bitwise those of the loop that evaluated all three
+  // at every step.
+  for (size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    StrengthLearner learner(&fixture_.dataset.network, &theta_, &config_,
+                            &pool);
+    for (const std::vector<double>& start :
+         {std::vector<double>{1.0, 1.0, 1.0},
+          std::vector<double>{0.3, 2.5, 0.0}}) {
+      StrengthStats stats;
+      const std::vector<double> learned = learner.Learn(start, &stats);
+      const NewtonReplay replay =
+          NewtonLoopOverEvalAll(learner, config_, start);
+      ASSERT_EQ(learned.size(), replay.gamma.size());
+      for (size_t r = 0; r < learned.size(); ++r) {
+        EXPECT_EQ(learned[r], replay.gamma[r])
+            << threads << " threads, start " << start[1] << ", relation "
+            << r;
+      }
+      EXPECT_EQ(stats.iterations, replay.stats.iterations) << threads;
+      EXPECT_EQ(stats.objective, replay.stats.objective) << threads;
+      EXPECT_EQ(stats.converged, replay.stats.converged) << threads;
+      EXPECT_EQ(stats.used_gradient_fallback,
+                replay.stats.used_gradient_fallback)
+          << threads;
+    }
   }
 }
 

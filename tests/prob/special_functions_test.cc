@@ -2,14 +2,68 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <thread>
+#include <vector>
 
 namespace genclus {
 namespace {
 
 // Euler-Mascheroni constant.
 constexpr double kEulerGamma = 0.57721566490153286;
+
+// Log-gamma arguments from 1e-6 to 1e6: a log-spaced sweep (8 points per
+// decade), the half-integers and integers to 2.5, and 1 to 60 in steps
+// of 1/8 — the range the strength learner's alpha_k = 1 + sum gamma s
+// takes on the benchmark networks.
+std::vector<double> LogGammaGrid() {
+  std::vector<double> grid;
+  for (int i = -48; i <= 48; ++i) grid.push_back(std::pow(10.0, i / 8.0));
+  for (double x : {0.5, 1.0, 1.5, 2.0, 2.5}) grid.push_back(x);
+  for (int i = 8; i <= 480; ++i) grid.push_back(i / 8.0);
+  return grid;
+}
+
+TEST(LogGammaTest, BitwiseEqualToStdLgamma) {
+  // LogGamma swaps std::lgamma for lgamma_r to keep the sign out of the
+  // global signgam; the value must not move by a single bit.
+  for (double x : LogGammaGrid()) {
+    EXPECT_EQ(LogGamma(x), std::lgamma(x)) << "x=" << x;
+  }
+}
+
+TEST(LogGammaTest, ConcurrentCallersGetTheSameBits) {
+  // Four threads evaluate the grid at once (the strength learner calls
+  // LogGamma from every pool worker); each must see the serial values.
+  const std::vector<double> grid = LogGammaGrid();
+  std::vector<double> serial;
+  for (double x : grid) serial.push_back(LogGamma(x));
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      size_t bad = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < grid.size(); ++i) {
+          if (LogGamma(grid[i]) != serial[i]) ++bad;
+        }
+      }
+      mismatches[t] = bad;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+}
 
 TEST(DigammaTest, KnownValues) {
   // psi(1) = -gamma.

@@ -35,6 +35,11 @@ is caught in review rather than by a flaky drift gate:
       (EM sweep, SpMM, planner) would be a branch whose firing perturbs
       timing and — if it mutates state — the bitwise pipeline; fault
       injection belongs at the serving/IO boundaries.
+  R6  No std::lgamma, lgamma(), lgammaf() or lgammal() outside
+      src/prob/special_functions.cc. They store the sign of Gamma(x) to
+      the process-global signgam on every call, a write the strength
+      learner's pool workers would all share; call genclus::LogGamma,
+      which uses lgamma_r with a local sign and returns the same bits.
 
 Scope: src/**/*.{h,cc}. Tests, benches and examples are exempt by
 design — benches time with wall clocks and tests spawn raw threads to
@@ -111,6 +116,10 @@ SYNC_OK = {"src/common/mutex.h"}
 FAILPOINT_DIRS = ("src/core/", "src/linalg/")
 FAILPOINT_OK = {"src/core/server.cc", "src/core/model_io.cc"}
 FAILPOINT_RE = re.compile(r"\bGENCLUS_FAILPOINT\s*\(")
+# The one file allowed to call the C library's log-gamma (R6), and the
+# calls that store to the global signgam.
+LGAMMA_OK = {"src/prob/special_functions.cc"}
+LGAMMA_RE = re.compile(r"std::lgamma\b|(?<![\w.])lgamma[fl]?\s*\(")
 # Accumulation-order-sensitive directories for the unordered-container
 # include/type ban (R1's strict form).
 STRICT_UNORDERED_DIRS = ("src/core/", "src/linalg/", "src/hin/")
@@ -254,6 +263,12 @@ def scan_file(root: Path, rel: str, findings: list[Finding],
                 "GENCLUS_FAILPOINT site in the numeric hot path; fault "
                 "injection is confined to the serving/IO boundaries "
                 "(src/core/server.cc, src/core/model_io.cc)")
+
+        if rel not in LGAMMA_OK and LGAMMA_RE.search(code):
+            add(idx, raw, "R6",
+                "C library log-gamma writes the process-global signgam "
+                "on every call; use genclus::LogGamma "
+                "(prob/special_functions.h)")
 
 
 def main() -> int:
