@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   server_options.max_batch = 64;
   server_options.max_wait_us = 200;
   auto server_or =
-      Server::Create(&data->dataset.network, &model, server_options);
+      Server::Create(&data->dataset.network, model, server_options);
   if (!server_or.ok()) {
     std::fprintf(stderr, "Server::Create failed: %s\n",
                  server_or.status().ToString().c_str());
@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
         static_cast<int64_t>(deadline_budget_us / 8.0);
     overload_options.min_inference_iterations = 2;
     auto overload_server_or =
-        Server::Create(&data->dataset.network, &model, overload_options);
+        Server::Create(&data->dataset.network, model, overload_options);
     if (!overload_server_or.ok()) {
       std::fprintf(stderr, "Server::Create (overload) failed: %s\n",
                    overload_server_or.status().ToString().c_str());

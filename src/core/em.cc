@@ -45,6 +45,22 @@ inline void NormalizeOntoSimplex(const double* mix, size_t num_clusters,
   for (size_t k = 0; k < num_clusters; ++k) out[k] /= clamped_total;
 }
 
+// Zeroed M-step accumulators, one per attribute, sized for its kind.
+std::vector<EmComponentAccumulator> ZeroAccumulators(
+    const std::vector<const Attribute*>& attributes, size_t num_clusters) {
+  std::vector<EmComponentAccumulator> acc(attributes.size());
+  for (size_t t = 0; t < attributes.size(); ++t) {
+    if (attributes[t]->kind() == AttributeKind::kCategorical) {
+      acc[t].counts.assign(num_clusters * attributes[t]->vocab_size(), 0.0);
+    } else {
+      acc[t].weight_sum.assign(num_clusters, 0.0);
+      acc[t].value_sum.assign(num_clusters, 0.0);
+      acc[t].square_sum.assign(num_clusters, 0.0);
+    }
+  }
+  return acc;
+}
+
 void ZeroAccumulator(EmComponentAccumulator* acc) {
   std::fill(acc->counts.begin(), acc->counts.end(), 0.0);
   std::fill(acc->weight_sum.begin(), acc->weight_sum.end(), 0.0);
@@ -90,20 +106,7 @@ void EmWorkspace::Prepare(size_t num_nodes, size_t num_clusters,
   block_objective_.assign(num_blocks, 0.0);
   scratch_.assign(num_blocks * 4 * num_clusters, 0.0);
 
-  block_acc_.assign(num_blocks, {});
-  for (auto& block : block_acc_) {
-    block.resize(attributes.size());
-    for (size_t t = 0; t < attributes.size(); ++t) {
-      if (attributes[t]->kind() == AttributeKind::kCategorical) {
-        block[t].counts.assign(
-            num_clusters * attributes[t]->vocab_size(), 0.0);
-      } else {
-        block[t].weight_sum.assign(num_clusters, 0.0);
-        block[t].value_sum.assign(num_clusters, 0.0);
-        block[t].square_sum.assign(num_clusters, 0.0);
-      }
-    }
-  }
+  block_acc_.assign(num_blocks, ZeroAccumulators(attributes, num_clusters));
 
   beta_transpose_.assign(attributes.size(), Matrix());
   gaussians_.assign(attributes.size(), GaussianEvalTable());
@@ -597,16 +600,7 @@ double EmOptimizer::ReferenceStep(
   const size_t n = network_->num_nodes();
   const size_t num_clusters = config_->num_clusters;
   Matrix new_theta(n, num_clusters);
-  std::vector<EmComponentAccumulator> acc(attributes_.size());
-  for (size_t t = 0; t < attributes_.size(); ++t) {
-    if (attributes_[t]->kind() == AttributeKind::kCategorical) {
-      acc[t].counts.assign(num_clusters * attributes_[t]->vocab_size(), 0.0);
-    } else {
-      acc[t].weight_sum.assign(num_clusters, 0.0);
-      acc[t].value_sum.assign(num_clusters, 0.0);
-      acc[t].square_sum.assign(num_clusters, 0.0);
-    }
-  }
+  auto acc = ZeroAccumulators(attributes_, num_clusters);
   ProcessNodes(0, n, gamma, *theta, *components, &new_theta, &acc);
   UpdateComponents(acc, components);
   const double delta = Matrix::MaxAbsDiff(*theta, new_theta);
@@ -657,60 +651,38 @@ void EmOptimizer::EstimateComponents(
   GENCLUS_CHECK(components != nullptr);
   GENCLUS_CHECK_EQ(components->size(), attributes_.size());
 
+  // Each node's theta row stands in for the responsibilities of its
+  // observations; the M-step itself is UpdateComponents' rule, so the
+  // initial component estimate and the EM updates are interchangeable.
+  auto acc = ZeroAccumulators(attributes_, num_clusters);
   for (size_t t = 0; t < attributes_.size(); ++t) {
     const Attribute& attr = *attributes_[t];
+    EmComponentAccumulator& a = acc[t];
     if (attr.kind() == AttributeKind::kCategorical) {
       const size_t vocab = attr.vocab_size();
-      Matrix* beta = (*components)[t].mutable_beta();
-      Matrix counts(num_clusters, vocab);
+      double* counts = a.counts.data();
       for (NodeId v = 0; v < attr.num_nodes(); ++v) {
         const double* theta_v = theta.Row(v);
         for (const TermCount& tc : attr.TermCounts(v)) {
           for (size_t k = 0; k < num_clusters; ++k) {
-            counts(k, tc.term) += theta_v[k] * tc.count;
-          }
-        }
-      }
-      for (size_t k = 0; k < num_clusters; ++k) {
-        double row_total = 0.0;
-        for (size_t l = 0; l < vocab; ++l) row_total += counts(k, l);
-        // Same smoothing rule as UpdateComponents, so the initial
-        // component estimate and the EM updates are interchangeable.
-        const double smooth =
-            config_->beta_smoothing * (row_total > 0.0 ? row_total : 1.0);
-        const double denom = row_total + smooth * static_cast<double>(vocab);
-        if (denom <= 0.0) {
-          // Empty cluster: keep a uniform term distribution.
-          const double u = 1.0 / static_cast<double>(vocab);
-          for (size_t l = 0; l < vocab; ++l) (*beta)(k, l) = u;
-        } else {
-          for (size_t l = 0; l < vocab; ++l) {
-            (*beta)(k, l) = (counts(k, l) + smooth) / denom;
+            counts[k * vocab + tc.term] += theta_v[k] * tc.count;
           }
         }
       }
     } else {
-      auto* gaussians = (*components)[t].mutable_gaussians();
-      for (size_t k = 0; k < num_clusters; ++k) {
-        double w = 0.0;
-        double wx = 0.0;
-        double wx2 = 0.0;
-        for (NodeId v = 0; v < attr.num_nodes(); ++v) {
-          const double tv = theta(v, k);
-          for (double x : attr.Values(v)) {
-            w += tv;
-            wx += tv * x;
-            wx2 += tv * x * x;
+      for (NodeId v = 0; v < attr.num_nodes(); ++v) {
+        const double* theta_v = theta.Row(v);
+        for (double x : attr.Values(v)) {
+          for (size_t k = 0; k < num_clusters; ++k) {
+            a.weight_sum[k] += theta_v[k];
+            a.value_sum[k] += theta_v[k] * x;
+            a.square_sum[k] += theta_v[k] * x * x;
           }
         }
-        if (w <= 1e-12) continue;
-        const double mean = wx / w;
-        double var = wx2 / w - mean * mean;
-        if (var < config_->variance_floor) var = config_->variance_floor;
-        (*gaussians)[k] = GaussianDistribution(mean, var);
       }
     }
   }
+  UpdateComponents(acc, components);
 }
 
 }  // namespace genclus

@@ -170,7 +170,8 @@ class EmOptimizer {
                         EmWorkspace* workspace) const;
 
   /// Re-estimates components from scratch treating `theta` rows as
-  /// observation responsibilities (used for initialization).
+  /// observation responsibilities, through the EM M-step's own rule
+  /// (used by initialization and ApplyUpdates' component refresh).
   void EstimateComponents(const Matrix& theta,
                           std::vector<AttributeComponents>* components) const;
 

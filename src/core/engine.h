@@ -140,7 +140,7 @@ class Engine {
 
   /// Retrains on a grown dataset warm-starting from `prev_model`:
   /// surviving nodes keep their Theta rows, new nodes are seeded by the
-  /// fold-in path, and components/gamma carry over — so a refresh costs
+  /// serving fold-in, and components/gamma carry over — so a refresh costs
   /// iterations-to-delta instead of iterations-from-scratch. Defined in
   /// core/update.cc; see RefitOptions there.
   static Result<FitResult> Refit(const Dataset& dataset,

@@ -208,9 +208,11 @@ InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
     // Canonicalize the kept row: stable-sort its non-zeros by target
     // column. This is the accumulation order the reference path uses too,
     // and ascending columns are what lets the column-shard split replay
-    // the exact chain for any shard count.
+    // the exact chain for any shard count. A row that already ascends
+    // (a network node's single-relation out-links) is left as it is.
     const size_t links_count = plan.link_cols.size() - links_start;
-    if (links_count > 1) {
+    const auto row_cols = plan.link_cols.begin() + links_start;
+    if (links_count > 1 && !std::is_sorted(row_cols, plan.link_cols.end())) {
       row_links.resize(links_count);
       for (size_t j = 0; j < links_count; ++j) {
         row_links[j] = {plan.link_cols[links_start + j],

@@ -27,9 +27,13 @@
 //     attribute sweeps run over fixed-grain query blocks, so results are
 //     bitwise invariant to the thread count.
 //
-// Engine (core/engine.h) wraps the pipeline behind Plan/Execute and keeps
-// Infer/InferBatch as thin wrappers over a one-shot plan; Server
-// (core/server.h) runs it behind a bounded micro-batching request queue.
+// The pipeline has three users. Engine (core/engine.h) wraps it behind
+// Plan/Execute and keeps Infer/InferBatch as thin wrappers over a
+// one-shot plan; Server (core/server.h) runs it behind a bounded
+// micro-batching request queue; and maintenance (core/update.h) folds
+// network nodes in through it — ApplyUpdates re-solves touched rows and
+// Engine::Refit seeds new ones with the query a new object carrying the
+// node's out-links and observations would send.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +54,10 @@
 
 namespace genclus {
 
-/// Serving defaults, single-sourced: engine options, InferMembership's
-/// defaults and the tests all read these instead of restating literals.
+/// Serving defaults, single-sourced: engine and server options,
+/// InferMembership's defaults, maintenance's fold-in (ApplyUpdates and
+/// Refit seeding) and the tests all read these instead of restating
+/// literals.
 struct ServeDefaults {
   /// Fixed-point sweeps per query (the responsibilities depend on the
   /// object's own theta, so a few iterations refine the attribute part;
@@ -250,7 +256,8 @@ class ServeWorkspace {
   friend class InferSession;
 
   // Builds the model-side tables; no-op when already built for `model`.
-  // The model must not be mutated while a workspace is prepared for it.
+  // The model's components must not change while a workspace is prepared
+  // for it; Theta is never cached (every Execute reads its rows live).
   void PrepareModel(const Model& model);
   // (Re)sizes the per-batch buffers; reuses capacity across batches.
   void PrepareBatch(size_t num_rows, size_t num_clusters,
@@ -288,8 +295,10 @@ class ServeWorkspace {
 };
 
 /// Executes InferPlans over a thread pool, reusing one ServeWorkspace
-/// across batches. `model` must outlive the session and must not change
-/// while the session exists; `pool` may be null for serial execution.
+/// across batches. `model` must outlive the session and its components
+/// must not change while the session exists; Theta rows are read live by
+/// every Execute, so they may be rewritten between batches (ApplyUpdates'
+/// Jacobi rounds do). `pool` may be null for serial execution.
 /// Not thread-safe: callers running batches concurrently use one session
 /// per concurrent batch (Engine recycles a session pool; Server gives
 /// each worker thread its own session).

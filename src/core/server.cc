@@ -158,19 +158,6 @@ Result<std::unique_ptr<Server>> Server::Create(const Network* network,
                 options);
 }
 
-Result<std::unique_ptr<Server>> Server::Create(const Network* network,
-                                               const Model* model,
-                                               ServerOptions options) {
-  if (model == nullptr) {
-    return Status::InvalidArgument("model must not be null");
-  }
-  // Non-owning shared_ptr: the caller keeps ownership (and the outlives
-  // contract); the server's snapshot machinery is oblivious either way.
-  return Create(network,
-                std::shared_ptr<const Model>(model, [](const Model*) {}),
-                options);
-}
-
 Result<std::unique_ptr<Server>> Server::Create(
     const Network* network, std::shared_ptr<const Model> model,
     ServerOptions options) {

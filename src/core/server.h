@@ -240,20 +240,17 @@ struct ServerStats {
 
 /// Micro-batching fold-in server over a (network, model) pair. Create it
 /// once, Submit from any number of threads, Stop (or destroy) to shut
-/// down. The network must outlive the server; the model is either owned
-/// (Model / shared_ptr overloads) or borrowed (const Model* overload —
-/// must outlive the server and stay unmutated, the contract Engine relies
-/// on). SwapModel replaces the served model at runtime with zero dropped
-/// requests (see the header comment).
+/// down. The network must outlive the server; the server shares
+/// ownership of the model (a Model is moved into a new shared_ptr), so
+/// the caller cannot mutate or free it under a running worker. SwapModel
+/// replaces the served model at runtime with zero dropped requests (see
+/// the header comment).
 class Server {
  public:
   /// Validates options and model-vs-network consistency, then starts the
   /// worker threads. The returned server is ready to Submit to.
   static Result<std::unique_ptr<Server>> Create(const Network* network,
                                                 Model model,
-                                                ServerOptions options = {});
-  static Result<std::unique_ptr<Server>> Create(const Network* network,
-                                                const Model* model,
                                                 ServerOptions options = {});
   static Result<std::unique_ptr<Server>> Create(
       const Network* network, std::shared_ptr<const Model> model,

@@ -1,9 +1,6 @@
 #include "core/update.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -11,108 +8,39 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/em.h"
+#include "core/inference.h"
 
 namespace genclus {
 
 namespace {
 
-// Same normalization rule as the EM sweep and the serving sweep: project
-// onto the simplex with the theta floor, uniform fallback for all-zero
-// mixes.
-void NormalizeRow(const double* mix, size_t num_clusters, double floor,
-                  double* out) {
-  double total = 0.0;
-  for (size_t k = 0; k < num_clusters; ++k) total += mix[k];
-  if (total <= 0.0 || !std::isfinite(total)) {
-    const double u = 1.0 / static_cast<double>(num_clusters);
-    for (size_t k = 0; k < num_clusters; ++k) out[k] = u;
-    return;
-  }
-  double clamped_total = 0.0;
-  for (size_t k = 0; k < num_clusters; ++k) {
-    double val = mix[k] / total;
-    if (val < floor) val = floor;
-    out[k] = val;
-    clamped_total += val;
-  }
-  for (size_t k = 0; k < num_clusters; ++k) out[k] /= clamped_total;
-}
-
-// The fold-in update (Eq. 10/11 with the rest of the model fixed) for one
-// node of a full network: the link term reads `theta` rows — only
-// neighbors below `valid_rows`, so a Refit seeding pass can walk new
-// nodes in ascending id order — and the attribute part runs `iterations`
-// fixed-point sweeps over the node's own observations.
-void FoldInRow(const Network& network, NodeId v, const Matrix& theta,
-               size_t valid_rows, const std::vector<double>& gamma,
-               const std::vector<const Attribute*>& attrs,
-               const std::vector<AttributeComponents>& components,
-               size_t iterations, double theta_floor, double* out) {
-  const size_t num_clusters = theta.cols();
-  std::vector<double> link_mix(num_clusters, 0.0);
-  std::vector<double> mix(num_clusters);
-  std::vector<double> resp(num_clusters);
-  std::vector<double> theta_v(num_clusters,
-                              1.0 / static_cast<double>(num_clusters));
-
+// The query a new object with v's out-links to rows below `valid_rows`
+// and v's own observations would send: folding a network node in is the
+// serving update for that evidence (model attribute a is attrs[a]).
+NewObjectQuery FoldInQuery(const Network& network, NodeId v,
+                           size_t valid_rows,
+                           const std::vector<const Attribute*>& attrs) {
+  NewObjectQuery query;
+  query.links.reserve(network.OutDegree(v));
   for (const LinkEntry& e : network.OutLinks(v)) {
-    if (e.neighbor >= valid_rows) continue;
-    const double coeff = gamma[e.type] * e.weight;
-    if (coeff == 0.0) continue;
-    const double* row = theta.Row(e.neighbor);
-    for (size_t k = 0; k < num_clusters; ++k) link_mix[k] += coeff * row[k];
+    if (e.neighbor < valid_rows) {
+      query.links.push_back({e.neighbor, e.type, e.weight});
+    }
   }
-
-  for (size_t it = 0; it < iterations; ++it) {
-    std::copy(link_mix.begin(), link_mix.end(), mix.begin());
-    for (size_t t = 0; t < attrs.size(); ++t) {
-      const Attribute& attr = *attrs[t];
-      const AttributeComponents& comp = components[t];
-      if (attr.kind() == AttributeKind::kCategorical) {
-        const Matrix& beta = comp.beta();
-        for (const TermCount& tc : attr.TermCounts(v)) {
-          double total = 0.0;
-          for (size_t k = 0; k < num_clusters; ++k) {
-            resp[k] = theta_v[k] * beta(k, tc.term);
-            total += resp[k];
-          }
-          if (total <= 0.0) {
-            std::fill(resp.begin(), resp.end(),
-                      1.0 / static_cast<double>(num_clusters));
-            total = 1.0;
-          }
-          for (size_t k = 0; k < num_clusters; ++k) {
-            mix[k] += tc.count * resp[k] / total;
-          }
-        }
-      } else {
-        for (double x : attr.Values(v)) {
-          double max_log = -std::numeric_limits<double>::infinity();
-          for (size_t k = 0; k < num_clusters; ++k) {
-            const double tk = theta_v[k] > 0.0 ? theta_v[k] : 1e-300;
-            resp[k] = std::log(tk) + comp.LogPdf(k, x);
-            max_log = std::max(max_log, resp[k]);
-          }
-          double total = 0.0;
-          for (size_t k = 0; k < num_clusters; ++k) {
-            resp[k] = std::exp(resp[k] - max_log);
-            total += resp[k];
-          }
-          for (size_t k = 0; k < num_clusters; ++k) {
-            mix[k] += resp[k] / total;
-          }
-        }
+  for (size_t a = 0; a < attrs.size(); ++a) {
+    const AttributeId id = static_cast<AttributeId>(a);
+    if (attrs[a]->kind() == AttributeKind::kCategorical) {
+      for (const TermCount& tc : attrs[a]->TermCounts(v)) {
+        query.observations.push_back(
+            NewObjectObservation::Categorical(id, tc.term, tc.count));
+      }
+    } else {
+      for (double x : attrs[a]->Values(v)) {
+        query.observations.push_back(NewObjectObservation::Numerical(id, x));
       }
     }
-    double delta = 0.0;
-    NormalizeRow(mix.data(), num_clusters, theta_floor, mix.data());
-    for (size_t k = 0; k < num_clusters; ++k) {
-      delta = std::max(delta, std::fabs(mix[k] - theta_v[k]));
-      theta_v[k] = mix[k];
-    }
-    if (delta < ServeDefaults::kSweepTolerance) break;
   }
-  std::copy(theta_v.begin(), theta_v.end(), out);
+  return query;
 }
 
 // Checks that the dataset's schema and attribute shapes still match what
@@ -173,9 +101,6 @@ Result<FitResult> Engine::Refit(const Dataset& dataset,
   GENCLUS_RETURN_IF_ERROR(dataset.Validate());
   GENCLUS_RETURN_IF_ERROR(prev_model.Validate());
   GENCLUS_RETURN_IF_ERROR(CheckModelMatchesDataset(prev_model, dataset));
-  if (options.seed_sweeps < 1) {
-    return Status::InvalidArgument("seed_sweeps must be >= 1");
-  }
   const Schema& schema = dataset.network.schema();
   const size_t n = dataset.network.num_nodes();
   const size_t prev_rows = prev_model.num_nodes();
@@ -199,21 +124,24 @@ Result<FitResult> Engine::Refit(const Dataset& dataset,
                                             &attrs, &model.attributes));
 
   WallTimer timer;
-  // Warm Theta: survivors keep their rows, new nodes are seeded by the
-  // fold-in update in ascending id order (each seed may read earlier
-  // seeds — links among new nodes still contribute).
-  model.theta = Matrix(n, num_clusters);
-  for (size_t v = 0; v < prev_rows; ++v) {
-    std::copy(prev_model.theta.Row(v), prev_model.theta.Row(v) + num_clusters,
-              model.theta.Row(v));
-  }
-  for (size_t v = prev_rows; v < n; ++v) {
-    FoldInRow(dataset.network, static_cast<NodeId>(v), model.theta,
-              /*valid_rows=*/v, config.initial_gamma, attrs,
-              prev_model.components, options.seed_sweeps,
-              config.theta_floor, model.theta.Row(v));
-  }
+  // Warm start: components and gamma carry over, survivors keep their
+  // Theta rows, and new nodes are seeded in ascending id order by the
+  // serving fold-in over their links to lower ids (each seed may read
+  // earlier seeds — links among new nodes still contribute).
   model.components = prev_model.components;
+  model.gamma = config.initial_gamma;
+  model.theta = prev_model.theta;
+  model.theta.AppendRows(n - prev_rows, 0.0);
+  const BatchPlanner planner(&dataset.network, &model);
+  InferSession session(&model, /*pool=*/nullptr,
+                       ServeDefaults::kInferenceIterations, config.theta_floor);
+  for (NodeId v = static_cast<NodeId>(prev_rows); v < n; ++v) {
+    const NewObjectQuery query = FoldInQuery(dataset.network, v, v, attrs);
+    const InferenceResult seed = session.Execute(planner.Plan({&query, 1}));
+    // Evidence read from the validated dataset cannot fail planning.
+    GENCLUS_CHECK(seed.ok(0));
+    std::ranges::copy(seed.membership(0), model.theta.Row(v));
+  }
   return RunAlgorithm1(dataset, attrs, config, options.observer,
                        options.cancellation, std::move(model), timer);
 }
@@ -227,15 +155,6 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
   GENCLUS_RETURN_IF_ERROR(CheckModelMatchesDataset(*model, *dataset));
   if (options.rounds < 1) {
     return Status::InvalidArgument("rounds must be >= 1");
-  }
-  if (options.fold_in_sweeps < 1) {
-    return Status::InvalidArgument("fold_in_sweeps must be >= 1");
-  }
-  const size_t num_clusters = model->num_clusters();
-  if (!(options.theta_floor > 0.0) ||
-      options.theta_floor >= 1.0 / static_cast<double>(num_clusters)) {
-    return Status::InvalidArgument(
-        "theta_floor must be in (0, 1/num_clusters)");
   }
   const size_t old_nodes = dataset->network.num_nodes();
   if (model->num_nodes() != old_nodes) {
@@ -279,23 +198,31 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
 
   // Grow Theta: survivors keep their rows, new nodes start uniform and
   // are solved by the Jacobi rounds below (every new node is touched).
+  const size_t num_clusters = model->num_clusters();
   model->theta.AppendRows(n - old_nodes,
                           1.0 / static_cast<double>(num_clusters));
 
+  // Every touched row is one query of a single plan over all of its
+  // out-links, built after the growth so the planner sees the grown
+  // Theta. Evidence read from the grown dataset (targets < n, weights
+  // checked by GrowDataset, terms inside the model's vocabulary) cannot
+  // fail planning, so nothing after GrowDataset can fail.
+  std::vector<NewObjectQuery> queries;
+  queries.reserve(rows.size());
+  for (NodeId v : rows) {
+    queries.push_back(FoldInQuery(dataset->network, v, n, attrs));
+  }
+  const InferPlan plan = BatchPlanner(&dataset->network, model).Plan(queries);
+  GENCLUS_CHECK_EQ(plan.num_rows(), rows.size());
+
   // Jacobi rounds: each round re-solves every touched row against the
-  // previous round's Theta. The round's rows go to `next` and reach Theta
-  // only once all are solved, so the result is independent of the
-  // iteration order (deterministic, and trivially parallelizable).
-  Matrix next(rows.size(), num_clusters);
+  // previous round's Theta. A round's answers reach Theta only once all
+  // are solved, so the result is independent of the iteration order.
+  InferSession session(model, /*pool=*/nullptr);
   for (size_t round = 0; round < options.rounds; ++round) {
+    const InferenceResult result = session.Execute(plan);
     for (size_t i = 0; i < rows.size(); ++i) {
-      FoldInRow(dataset->network, rows[i], model->theta, /*valid_rows=*/n,
-                model->gamma, attrs, model->components,
-                options.fold_in_sweeps, options.theta_floor, next.Row(i));
-    }
-    for (size_t i = 0; i < rows.size(); ++i) {
-      std::copy(next.Row(i), next.Row(i) + num_clusters,
-                model->theta.Row(rows[i]));
+      std::ranges::copy(result.membership(i), model->theta.Row(rows[i]));
     }
   }
 

@@ -4,17 +4,19 @@
 // Three freshness tiers, cheapest first:
 //
 //   * ApplyUpdates — streaming: folds batches of NetworkDelta (hin/delta.h)
-//     into an existing Dataset + Model in place. New nodes get Theta rows
-//     from the fold-in update (the same Eq. 10/11 arithmetic serving
-//     uses), touched survivors are re-solved with a few Jacobi rounds,
-//     and components are optionally re-estimated from the updated Theta.
-//     No EM sweeps over the full network.
+//     into an existing Dataset + Model in place. Every touched row (new
+//     nodes, sources of new links, nodes with new observations) is
+//     re-solved by the serving fold-in — BatchPlanner + InferSession
+//     (core/inference.h) with the ServeDefaults sweep count and floor —
+//     over the node's out-links and observations, in a few Jacobi rounds;
+//     components are optionally re-estimated from the updated Theta. No
+//     EM sweeps over the full network.
 //
 //   * Engine::Refit (declared in core/engine.h, defined here) — nightly:
 //     a full Algorithm 1 run on the grown dataset, warm-started from the
 //     previous Model. Surviving nodes keep their Theta rows, new nodes
-//     are seeded by the fold-in path, and components/gamma carry over, so
-//     convergence costs iterations-to-delta instead of
+//     are seeded by the same serving fold-in, and components/gamma carry
+//     over, so convergence costs iterations-to-delta instead of
 //     iterations-from-scratch.
 //
 //   * Engine::Fit — the from-scratch baseline.
@@ -33,27 +35,24 @@ namespace genclus {
 
 /// Options of Engine::Refit. The cluster count always comes from the
 /// previous model (a refit cannot change K); an empty
-/// config.initial_gamma means "carry the previous model's gamma".
+/// config.initial_gamma means "carry the previous model's gamma". New
+/// nodes are seeded with ServeDefaults::kInferenceIterations sweeps and
+/// config.theta_floor.
 struct RefitOptions {
   GenClusConfig config;
-  /// Fixed-point sweeps seeding each new node's Theta row (>= 1).
-  size_t seed_sweeps = ServeDefaults::kInferenceIterations;
   /// Notified after every outer iteration; null = no observation.
   ProgressObserver* observer = nullptr;
   /// Polled between outer iterations; null = not cancellable.
   const CancellationToken* cancellation = nullptr;
 };
 
-/// Options of ApplyUpdates.
+/// Options of ApplyUpdates. Each row solve is one serving fold-in with
+/// the ServeDefaults sweep count and floor.
 struct UpdateOptions {
   /// Jacobi refinement rounds over the touched node set: every round
   /// re-solves each touched row against the previous round's Theta, so
   /// the result is independent of iteration order and deterministic. >= 1.
   size_t rounds = 2;
-  /// Fixed-point sweeps per touched row per round (>= 1).
-  size_t fold_in_sweeps = ServeDefaults::kInferenceIterations;
-  /// Floor applied to updated membership probabilities.
-  double theta_floor = ServeDefaults::kThetaFloor;
   /// Re-estimate beta and the Gaussians from the updated Theta after the
   /// rows settle (one pass over all observations). When false, components
   /// are carried unchanged — cheaper, and fine for small deltas.
@@ -74,15 +73,18 @@ struct UpdateReport {
 
 /// Folds `deltas` (applied in order) into `dataset` and `model` in place:
 /// the dataset grows in place via GrowDataset (hin/delta.h), the model
-/// gains fold-in Theta rows for new nodes, and every touched row is
-/// refined with options.rounds Jacobi rounds. The model's objective field
-/// is left at its last fitted value (stale until the next Refit).
-/// Requires model->num_nodes() == dataset->network.num_nodes() on entry
-/// and the model's attribute/link-type metadata to match the dataset's
-/// schema. All-or-nothing: on error neither the dataset nor the model
-/// changes. Growing reallocates the network, so no Server or Engine may
-/// reference dataset->network during the call: serve from another copy
-/// of the dataset (grow an offline copy, then SwapModel).
+/// gains Theta rows for new nodes, and every touched row is re-solved
+/// with options.rounds Jacobi rounds. After one round, a touched row is
+/// bit for bit what Engine::InferBatch answers for the query carrying
+/// the node's out-links and observations, against the Theta the round
+/// read (new rows uniform). The model's objective field is left at its
+/// last fitted value (stale until the next Refit). Requires
+/// model->num_nodes() == dataset->network.num_nodes() on entry and the
+/// model's attribute/link-type metadata to match the dataset's schema.
+/// All-or-nothing: on error neither the dataset nor the model changes.
+/// Growing reallocates the network, so no Server or Engine may reference
+/// dataset->network during the call: serve from another copy of the
+/// dataset (grow an offline copy, then SwapModel).
 Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
                                   std::span<const NetworkDelta> deltas,
                                   const UpdateOptions& options = {});

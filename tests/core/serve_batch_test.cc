@@ -308,7 +308,7 @@ TEST_F(ServeBatchFixture, ServerSubmitBatchMatchesSynchronousExecution) {
   ServerOptions server_options;
   server_options.num_workers = 2;
   auto server =
-      Server::Create(&fixture_->dataset.network, model_, server_options);
+      Server::Create(&fixture_->dataset.network, *model_, server_options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   std::future<InferenceResult> future =
       (*server)->SubmitBatch(queries);

@@ -63,8 +63,7 @@ class ServerDeadlineTest : public ::testing::Test {
   void TearDown() override { Failpoints::DisarmAll(); }
 
   static std::unique_ptr<Server> MakeServer(ServerOptions options) {
-    auto server =
-        Server::Create(&fixture_->dataset.network, model_, options);
+    auto server = Server::Create(&fixture_->dataset.network, *model_, options);
     EXPECT_TRUE(server.ok()) << server.status().ToString();
     return std::move(server).value();
   }

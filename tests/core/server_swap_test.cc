@@ -114,8 +114,7 @@ TEST_F(ServerSwapTest, AnswersAndStatsTrackTheSwap) {
   ServerOptions options;
   options.num_workers = 1;
   options.max_wait_us = 0;
-  auto server =
-      Server::Create(&fixture_->dataset.network, model_a_, options);
+  auto server = Server::Create(&fixture_->dataset.network, *model_a_, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Server& srv = *server.value();
   EXPECT_EQ(srv.model_version(), 1u);
@@ -148,8 +147,7 @@ TEST_F(ServerSwapTest, SubmitBatchStampsPerSlotVersions) {
   const QueryPool pool = MakeQueryPool(6);
   ServerOptions options;
   options.num_workers = 1;
-  auto server =
-      Server::Create(&fixture_->dataset.network, model_a_, options);
+  auto server = Server::Create(&fixture_->dataset.network, *model_a_, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   InferenceResult result =
       server.value()->SubmitBatch(pool.queries).get();
@@ -163,8 +161,7 @@ TEST_F(ServerSwapTest, SubmitBatchStampsPerSlotVersions) {
 TEST_F(ServerSwapTest, SwapValidatesReplacement) {
   ServerOptions options;
   options.num_workers = 1;
-  auto server =
-      Server::Create(&fixture_->dataset.network, model_a_, options);
+  auto server = Server::Create(&fixture_->dataset.network, *model_a_, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Server& srv = *server.value();
 
@@ -212,8 +209,7 @@ TEST_F(ServerSwapTest, SwapUnderLoadDropsAndMisattributesNothing) {
   options.num_workers = 3;
   options.queue_capacity = 4096;  // load test: nothing should be rejected
   options.max_wait_us = 50;
-  auto server =
-      Server::Create(&fixture_->dataset.network, model_a_, options);
+  auto server = Server::Create(&fixture_->dataset.network, *model_a_, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Server& srv = *server.value();
 
@@ -271,8 +267,7 @@ TEST_F(ServerSwapTest, RebuildFailureFailsOnlyThatBatch) {
   ServerOptions options;
   options.num_workers = 1;
   options.max_wait_us = 0;
-  auto server =
-      Server::Create(&fixture_->dataset.network, model_a_, options);
+  auto server = Server::Create(&fixture_->dataset.network, *model_a_, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Server& srv = *server.value();
 

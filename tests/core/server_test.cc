@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -56,8 +57,7 @@ class ServerTest : public ::testing::Test {
   }
 
   static std::unique_ptr<Server> MakeServer(ServerOptions options) {
-    auto server =
-        Server::Create(&fixture_->dataset.network, model_, options);
+    auto server = Server::Create(&fixture_->dataset.network, *model_, options);
     EXPECT_TRUE(server.ok()) << server.status().ToString();
     return std::move(server).value();
   }
@@ -112,12 +112,12 @@ Model* ServerTest::model_ = nullptr;
 TEST_F(ServerTest, CreateValidatesOptionsAndModel) {
   ServerOptions bad;
   bad.max_batch = 0;
-  auto server = Server::Create(&fixture_->dataset.network, model_, bad);
+  auto server = Server::Create(&fixture_->dataset.network, *model_, bad);
   EXPECT_FALSE(server.ok());
   EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
 
   auto null_model = Server::Create(&fixture_->dataset.network,
-                                   static_cast<const Model*>(nullptr), {});
+                                   std::shared_ptr<const Model>(), {});
   EXPECT_FALSE(null_model.ok());
 }
 

@@ -10,6 +10,11 @@
 //     place: shapes grow, every row stays on the K-simplex, untouched
 //     rows are bitwise untouched, and the result is independent of how
 //     the same growth is split into delta batches;
+//   * one ApplyUpdates round is the serving fold-in: every re-solved row
+//     equals, bit for bit, Engine::InferBatch's answer for the query with
+//     that node's out-links and observations — on a hand-built network
+//     where relation order and target order round differently, and on
+//     fitted networks with categorical and numerical observations;
 //   * both paths validate their inputs (shrunk dataset, node-count
 //     mismatch, bad options, a previous model of another attribute
 //     shape), and ApplyUpdates is all-or-nothing: a failing delta — for
@@ -25,6 +30,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "datagen/weather_generator.h"
 #include "eval/nmi.h"
 #include "hin/delta.h"
 #include "tests/core/test_fixtures.h"
@@ -33,6 +39,151 @@ namespace genclus {
 namespace {
 
 using testing::MakeTwoCommunityNetwork;
+
+// The query a new object with v's out-links and v's observations of the
+// model's attributes would send.
+NewObjectQuery NodeQuery(const Dataset& dataset, const Model& model, NodeId v) {
+  NewObjectQuery query;
+  for (const LinkEntry& e : dataset.network.OutLinks(v)) {
+    query.links.push_back({e.neighbor, e.type, e.weight});
+  }
+  for (size_t a = 0; a < model.attributes.size(); ++a) {
+    const Attribute& attr =
+        dataset.attributes[dataset.FindAttribute(model.attributes[a].name)];
+    const AttributeId id = static_cast<AttributeId>(a);
+    if (attr.kind() == AttributeKind::kCategorical) {
+      for (const TermCount& tc : attr.TermCounts(v)) {
+        query.observations.push_back(
+            NewObjectObservation::Categorical(id, tc.term, tc.count));
+      }
+    } else {
+      for (double x : attr.Values(v)) {
+        query.observations.push_back(NewObjectObservation::Numerical(id, x));
+      }
+    }
+  }
+  return query;
+}
+
+// Applies `delta` with one Jacobi round and carried components, then
+// expects every re-solved row (new nodes, sources of new links, nodes with
+// new observations) to be bit for bit Engine::InferBatch's answer for
+// that node's query against the Theta the round read: the survivors'
+// rows, new rows uniform. Counts the re-solved survivors.
+void ExpectOneRoundIsServedFoldIn(Dataset* dataset, Model* model,
+                                  const NetworkDelta& delta,
+                                  size_t* survivors) {
+  const size_t old_nodes = dataset->network.num_nodes();
+  Model read = *model;
+  UpdateOptions options;
+  options.rounds = 1;
+  options.refresh_components = false;
+  auto report = ApplyUpdates(dataset, model, {&delta, 1}, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const size_t n = dataset->network.num_nodes();
+  const double uniform = 1.0 / static_cast<double>(read.num_clusters());
+  read.theta.AppendRows(n - old_nodes, uniform);
+
+  std::vector<bool> touched(n, false);
+  for (size_t v = old_nodes; v < n; ++v) touched[v] = true;
+  for (const DeltaLink& link : delta.links) touched[link.src] = true;
+  for (const DeltaObservation& obs : delta.observations) {
+    touched[obs.node] = true;
+  }
+  std::vector<NodeId> rows;
+  std::vector<NewObjectQuery> queries;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!touched[v]) continue;
+    rows.push_back(v);
+    queries.push_back(NodeQuery(*dataset, read, v));
+  }
+  EXPECT_EQ(report.value().touched_nodes, rows.size());
+
+  EngineOptions serial;
+  serial.num_threads = 1;
+  auto engine = Engine::Create(&dataset->network, std::move(read), serial);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const auto answers = engine.value().InferBatch(queries);
+  *survivors = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(answers[i].ok()) << answers[i].status().ToString();
+    for (size_t k = 0; k < model->num_clusters(); ++k) {
+      EXPECT_EQ(model->theta(rows[i], k), answers[i].value()[k])
+          << "node " << rows[i] << ", cluster " << k;
+    }
+    if (rows[i] < old_nodes) ++*survivors;
+  }
+}
+
+TEST(UpdateFoldInTest, OneRoundSumsLinksInServingOrder) {
+  // Three nodes of one type and two relations with gamma = (1, 1). The
+  // new node links to node 2 by `a` (weight 1) and to nodes 0 and 1 by
+  // `b` (weight 2^-53 each). Relation order adds 0.75 first, so both tiny
+  // terms round away from its first component; target order adds them
+  // first, where they survive. The two orders give different bits.
+  Schema schema;
+  const ObjectTypeId type = schema.AddObjectType("node").value();
+  const LinkTypeId a = schema.AddLinkType("a", type, type).value();
+  const LinkTypeId b = schema.AddLinkType("b", type, type).value();
+  NetworkBuilder builder(schema);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(builder.AddNode(type).ok());
+  auto network = std::move(builder).Build();
+  ASSERT_TRUE(network.ok()) << network.status().ToString();
+  Dataset dataset;
+  dataset.network = std::move(network).value();
+
+  Model model;
+  model.theta = Matrix(3, 2);
+  const double rows[3][2] = {{0.5, 0.5}, {0.5, 0.5}, {0.75, 0.25}};
+  for (size_t v = 0; v < 3; ++v) {
+    for (size_t k = 0; k < 2; ++k) model.theta(v, k) = rows[v][k];
+  }
+  model.gamma = {1.0, 1.0};
+  model.link_types = {"a", "b"};
+
+  NetworkDelta delta;
+  delta.nodes.push_back({type, "new"});
+  const double tiny = std::ldexp(1.0, -53);
+  delta.links.push_back({3, 2, a, 1.0});
+  delta.links.push_back({3, 0, b, tiny});
+  delta.links.push_back({3, 1, b, tiny});
+  size_t survivors = 0;
+  ExpectOneRoundIsServedFoldIn(&dataset, &model, delta, &survivors);
+  EXPECT_EQ(survivors, 0u);
+}
+
+TEST(UpdateFoldInTest, OneRoundIsServedFoldInWithNumericalObservations) {
+  // A fitted weather network: Gaussian evidence on every sensor. The last
+  // 20 precipitation sensors arrive as one delta; older sensors whose
+  // nearest neighbors they are gain out-links and are re-solved too.
+  WeatherConfig config = WeatherConfig::Setting1();
+  config.num_temperature_sensors = 80;
+  config.num_precipitation_sensors = 40;
+  config.seed = 911;
+  auto weather = GenerateWeatherNetwork(config);
+  ASSERT_TRUE(weather.ok()) << weather.status().ToString();
+  const Dataset& full = weather.value().dataset;
+  NetworkDelta delta;
+  auto base = SliceDatasetPrefix(full, full.network.num_nodes() - 20, &delta);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  Dataset dataset = std::move(base).value();
+
+  FitOptions options;
+  options.attributes = {"temperature", "precipitation"};
+  options.config.num_clusters = 4;
+  options.config.outer_iterations = 2;
+  options.config.em_iterations = 10;
+  options.config.num_init_seeds = 1;
+  options.config.num_threads = 1;
+  options.config.seed = 912;
+  auto fit = Engine::Fit(dataset, options);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  Model model = std::move(fit).value().model;
+
+  size_t survivors = 0;
+  ExpectOneRoundIsServedFoldIn(&dataset, &model, delta, &survivors);
+  EXPECT_GT(survivors, 0u);
+}
 
 class UpdateTest : public ::testing::Test {
  protected:
@@ -151,14 +302,6 @@ TEST_F(UpdateTest, RefitValidatesInputs) {
   auto shrunk = Engine::Refit(*base_, fullfit.value().model, options);
   EXPECT_EQ(shrunk.status().code(), StatusCode::kInvalidArgument);
 
-  RefitOptions bad;
-  bad.config = testing::PlantedFixtureConfig(908);
-  bad.seed_sweeps = 0;
-  EXPECT_EQ(Engine::Refit(full_->dataset, *base_model_, bad)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-
   // Previous models that are internally consistent but were trained on a
   // different attribute shape: a larger categorical vocabulary, and a
   // numerical attribute where the dataset's is categorical.
@@ -255,6 +398,14 @@ TEST_F(UpdateTest, ApplyUpdatesIsBatchSplitInvariant) {
 
   ASSERT_EQ(one_model.num_nodes(), two_model.num_nodes());
   EXPECT_EQ(one_model.Fingerprint(), two_model.Fingerprint());
+}
+
+TEST_F(UpdateTest, OneRoundIsServedFoldInWithCategoricalObservations) {
+  Dataset dataset = *base_;
+  Model model = *base_model_;
+  size_t survivors = 0;
+  ExpectOneRoundIsServedFoldIn(&dataset, &model, *remainder_, &survivors);
+  EXPECT_GT(survivors, 0u);
 }
 
 TEST_F(UpdateTest, ApplyUpdatesValidatesInputs) {
