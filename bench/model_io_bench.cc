@@ -1,7 +1,6 @@
-// Model persistence bench: text (SaveModel/LoadModel) vs binary
-// (SaveModelBinary/LoadModelBinary) wall time on a fig11-style weather
-// fixture, written to BENCH_model_io.json so the load-path trajectory is
-// machine-readable PR over PR.
+// Model persistence bench: SaveModelBinary/LoadModelBinary wall time on a
+// fig11-style weather fixture, written to BENCH_model_io.json so the
+// load-path trajectory is machine-readable PR over PR.
 //
 // The model is synthesized from the generator's planted membership (Θ),
 // the schema's link types (γ), Gaussian components for the two weather
@@ -9,9 +8,8 @@
 // realistic without paying for a training run. Timings are best of
 // --reps.
 //
-// Correctness gates (non-zero exit, CI treats as broken build):
-//   * the binary round trip must reproduce the model bit for bit;
-//   * LoadModelBinary must be at least 5x faster than LoadModel.
+// Correctness gate (non-zero exit, CI treats as broken build): the round
+// trip must reproduce the model bit for bit.
 //
 // Flags: --out FILE (default BENCH_model_io.json), --small (CI fixture),
 //        --reps N (default 5).
@@ -38,13 +36,9 @@ struct Cell {
   size_t nodes = 0;
   size_t clusters = 0;
   size_t vocab = 0;
-  size_t text_bytes = 0;
   size_t binary_bytes = 0;
-  double text_save_ms = 0.0;
   double binary_save_ms = 0.0;
-  double text_load_ms = 0.0;
   double binary_load_ms = 0.0;
-  double load_speedup = 0.0;  // text_load_ms / binary_load_ms
   bool roundtrip_bitwise = false;
 };
 
@@ -131,13 +125,10 @@ void WriteJson(const std::string& path, const std::string& fixture,
     std::fprintf(
         f,
         "    {\"nodes\": %zu, \"clusters\": %zu, \"vocab\": %zu, "
-        "\"text_bytes\": %zu, \"binary_bytes\": %zu, "
-        "\"text_save_ms\": %.4f, \"binary_save_ms\": %.4f, "
-        "\"text_load_ms\": %.4f, \"binary_load_ms\": %.4f, "
-        "\"load_speedup\": %.2f, \"roundtrip_bitwise\": %s}%s\n",
-        c.nodes, c.clusters, c.vocab, c.text_bytes, c.binary_bytes,
-        c.text_save_ms, c.binary_save_ms, c.text_load_ms, c.binary_load_ms,
-        c.load_speedup, c.roundtrip_bitwise ? "true" : "false",
+        "\"binary_bytes\": %zu, \"binary_save_ms\": %.4f, "
+        "\"binary_load_ms\": %.4f, \"roundtrip_bitwise\": %s}%s\n",
+        c.nodes, c.clusters, c.vocab, c.binary_bytes, c.binary_save_ms,
+        c.binary_load_ms, c.roundtrip_bitwise ? "true" : "false",
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -154,18 +145,15 @@ int main(int argc, char** argv) {
   const std::string out = flags.GetString("out", "BENCH_model_io.json");
 
   // Fig. 11 sweep shape: precipitation sensor counts scale the node
-  // range; the categorical vocabulary supplies text-format bulk.
+  // range; the categorical vocabulary supplies beta bulk.
   std::vector<size_t> precipitation_sizes =
       small ? std::vector<size_t>{60} : std::vector<size_t>{250, 500, 1000};
   const size_t num_temperature = small ? 250 : 1000;
   const size_t vocab = small ? 1000 : 4000;
 
-  PrintHeader("model I/O: text vs binary persistence");
-  PrintRow({"nodes", "text_kb", "bin_kb", "t_load", "b_load", "speedup"});
+  PrintHeader("model I/O: binary persistence");
+  PrintRow({"nodes", "bin_kb", "b_save", "b_load"});
 
-  const std::string text_path =
-      (std::filesystem::temp_directory_path() / "genclus_io_bench.model")
-          .string();
   const std::string binary_path =
       (std::filesystem::temp_directory_path() / "genclus_io_bench.bin")
           .string();
@@ -189,21 +177,10 @@ int main(int argc, char** argv) {
     cell.nodes = model.num_nodes();
     cell.clusters = model.num_clusters();
     cell.vocab = vocab;
-    cell.text_save_ms = 1e300;
     cell.binary_save_ms = 1e300;
-    cell.text_load_ms = 1e300;
     cell.binary_load_ms = 1e300;
     cell.roundtrip_bitwise = true;
     for (size_t rep = 0; rep < reps; ++rep) {
-      {
-        WallTimer timer;
-        const Status saved = SaveModel(model, text_path);
-        cell.text_save_ms = std::min(cell.text_save_ms, timer.Millis());
-        if (!saved.ok()) {
-          std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-          return 1;
-        }
-      }
       {
         WallTimer timer;
         const Status saved = SaveModelBinary(model, binary_path);
@@ -212,17 +189,6 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "%s\n", saved.ToString().c_str());
           return 1;
         }
-      }
-      {
-        WallTimer timer;
-        auto loaded = LoadModel(text_path);
-        cell.text_load_ms = std::min(cell.text_load_ms, timer.Millis());
-        if (!loaded.ok()) {
-          std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-          return 1;
-        }
-        cell.roundtrip_bitwise =
-            cell.roundtrip_bitwise && ModelsBitwiseEqual(model, *loaded);
       }
       {
         WallTimer timer;
@@ -236,11 +202,7 @@ int main(int argc, char** argv) {
             cell.roundtrip_bitwise && ModelsBitwiseEqual(model, *loaded);
       }
     }
-    cell.text_bytes = FileBytes(text_path);
     cell.binary_bytes = FileBytes(binary_path);
-    cell.load_speedup = cell.binary_load_ms > 0.0
-                            ? cell.text_load_ms / cell.binary_load_ms
-                            : 0.0;
 
     if (!cell.roundtrip_bitwise) {
       std::fprintf(stderr,
@@ -248,23 +210,13 @@ int main(int argc, char** argv) {
                    cell.nodes);
       gates_ok = false;
     }
-    if (cell.load_speedup < 5.0) {
-      std::fprintf(stderr,
-                   "FAIL: binary load only %.2fx faster than text "
-                   "(gate: 5x) at %zu nodes\n",
-                   cell.load_speedup, cell.nodes);
-      gates_ok = false;
-    }
 
     PrintRow({StrFormat("%zu", cell.nodes),
-              StrFormat("%.1f", cell.text_bytes / 1024.0),
               StrFormat("%.1f", cell.binary_bytes / 1024.0),
-              StrFormat("%.2fms", cell.text_load_ms),
-              StrFormat("%.3fms", cell.binary_load_ms),
-              StrFormat("%.1fx", cell.load_speedup)});
+              StrFormat("%.3fms", cell.binary_save_ms),
+              StrFormat("%.3fms", cell.binary_load_ms)});
     cells.push_back(cell);
   }
-  std::remove(text_path.c_str());
   std::remove(binary_path.c_str());
 
   WriteJson(out, small ? "weather_s1_small" : "weather_s1_fig11", cells);

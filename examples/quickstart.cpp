@@ -114,13 +114,14 @@ int main() {
   const std::string model_path =
       (std::filesystem::temp_directory_path() / "quickstart_model.genclus")
           .string();
-  if (Status s = SaveModel(model, model_path); !s.ok()) {
-    std::fprintf(stderr, "SaveModel failed: %s\n", s.ToString().c_str());
+  if (Status s = SaveModelBinary(model, model_path); !s.ok()) {
+    std::fprintf(stderr, "SaveModelBinary failed: %s\n",
+                 s.ToString().c_str());
     return 1;
   }
-  auto reloaded = LoadModel(model_path);
+  auto reloaded = LoadModelBinary(model_path);
   if (!reloaded.ok()) {
-    std::fprintf(stderr, "LoadModel failed: %s\n",
+    std::fprintf(stderr, "LoadModelBinary failed: %s\n",
                  reloaded.status().ToString().c_str());
     return 1;
   }

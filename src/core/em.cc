@@ -103,8 +103,7 @@ void EmWorkspace::Prepare(size_t num_nodes, size_t num_clusters,
 
   new_theta_ = Matrix(num_nodes, num_clusters);
   block_delta_.assign(num_blocks, 0.0);
-  block_objective_.assign(num_blocks, 0.0);
-  scratch_.assign(num_blocks * 4 * num_clusters, 0.0);
+  scratch_.assign(num_blocks * 3 * num_clusters, 0.0);
 
   block_acc_.assign(num_blocks, ZeroAccumulators(attributes, num_clusters));
 
@@ -211,28 +210,24 @@ void EmOptimizer::AccumulateLinkTerm(const std::vector<double>& gamma,
 
 template <int kFixedK>
 void EmOptimizer::FusedSweep(const std::vector<double>& gamma,
-                             const double* theta_data, bool track,
-                             EmWorkspace* ws) const {
+                             const double* theta_data, EmWorkspace* ws) const {
   const size_t num_clusters = kFixedK > 0
                                   ? static_cast<size_t>(kFixedK)
                                   : config_->num_clusters;
   const size_t n = network_->num_nodes();
-  const bool need_logs = has_numerical_ || track;
-  const double log_theta_floor = std::log(kDefaultThetaFloor);
   double* new_theta_data = ws->new_theta_.data().data();
 
   ForEachFixedGrainBlock(pool_, n, kEmBlockGrain, [&](size_t b, size_t begin,
                                                       size_t end) {
     std::vector<EmComponentAccumulator>& acc = ws->block_acc_[b];
     for (auto& a : acc) ZeroAccumulator(&a);
-    // Per-row scratch, 4 * K doubles: a local array the compiler can keep
+    // Per-row scratch, 3 * K doubles: a local array the compiler can keep
     // in registers when K is fixed, the block's workspace slot otherwise.
-    double fixed_scratch[kFixedK > 0 ? 4 * kFixedK : 1] = {};
+    double fixed_scratch[kFixedK > 0 ? 3 * kFixedK : 1] = {};
     double* resp = kFixedK > 0 ? fixed_scratch
-                               : ws->scratch_.data() + b * 4 * num_clusters;
+                               : ws->scratch_.data() + b * 3 * num_clusters;
     double* log_e = resp + num_clusters;  // E-step clamp (1e-300)
-    double* log_s = log_e + num_clusters;  // structural clamp (theta floor)
-    double* base = log_s + num_clusters;  // log theta_vk + log_norm_k
+    double* base = log_e + num_clusters;  // log theta_vk + log_norm_k
 
     // Link part of Eq. 10/11/12 as a typed-CSR SpMM: per relation r,
     // new_theta rows of this block += gamma_r * (W_r Theta), one column
@@ -242,37 +237,19 @@ void EmOptimizer::FusedSweep(const std::vector<double>& gamma,
     AccumulateLinkTerm(gamma, theta_data, begin, end, ws, new_theta_data);
 
     double local_delta = 0.0;
-    double local_obj = 0.0;
     for (size_t vi = begin; vi < end; ++vi) {
       const NodeId v = static_cast<NodeId>(vi);
       const double* theta_v = theta_data + vi * num_clusters;
       double* out = new_theta_data + vi * num_clusters;
 
-      if (need_logs) {
+      if (has_numerical_) {
         for (size_t k = 0; k < num_clusters; ++k) {
           const double tk = theta_v[k] > 0.0 ? theta_v[k] : 1e-300;
           log_e[k] = std::log(tk);
-          if (track) {
-            log_s[k] = theta_v[k] < kDefaultThetaFloor ? log_theta_floor
-                                                       : log_e[k];
-          }
         }
-      }
-      if (track) {
-        // Feature part of g1 at the entry iterate, factored through the
-        // link mix: sum_e gamma w CE(theta_v, theta_u)
-        //         = sum_k log(clamped theta_vk) * [sum_e gamma w theta_uk],
-        // and `out` holds exactly that bracket before the attribute part
-        // lands on it.
-        double structural = 0.0;
-        for (size_t k = 0; k < num_clusters; ++k) {
-          structural += log_s[k] * out[k];
-        }
-        local_obj += structural;
       }
 
-      // Attribute part: responsibilities of v's own observations, with
-      // the per-observation likelihood riding along for the fused trace.
+      // Attribute part: responsibilities of v's own observations.
       for (size_t t = 0; t < attributes_.size(); ++t) {
         const Attribute& attr = *attributes_[t];
         if (attr.kind() == AttributeKind::kCategorical) {
@@ -285,10 +262,6 @@ void EmOptimizer::FusedSweep(const std::vector<double>& gamma,
             for (size_t k = 0; k < num_clusters; ++k) {
               resp[k] = theta_v[k] * beta_term[k];
               total += resp[k];
-            }
-            if (track) {
-              local_obj +=
-                  tc.count * std::log(total > 0.0 ? total : 1e-300);
             }
             if (total <= 0.0) {
               // All clusters assign zero mass (possible with zero
@@ -339,7 +312,6 @@ void EmOptimizer::FusedSweep(const std::vector<double>& gamma,
                   k == arg_max ? 1.0 : std::exp(resp[k] - max_log);
               total += resp[k];
             }
-            if (track) local_obj += max_log + std::log(total);
             const double inv_total = 1.0 / total;
             for (size_t k = 0; k < num_clusters; ++k) {
               const double r = resp[k] * inv_total;
@@ -358,97 +330,7 @@ void EmOptimizer::FusedSweep(const std::vector<double>& gamma,
       }
     }
     ws->block_delta_[b] = local_delta;
-    ws->block_objective_[b] = local_obj;
   });
-}
-
-void EmOptimizer::Sweep(const std::vector<double>& gamma, const Matrix& theta,
-                        const std::vector<AttributeComponents>& components,
-                        bool track, EmWorkspace* ws) const {
-  GENCLUS_CHECK(ws != nullptr);
-  GENCLUS_CHECK_EQ(theta.rows(), network_->num_nodes());
-  GENCLUS_CHECK_EQ(theta.cols(), config_->num_clusters);
-  GENCLUS_CHECK_EQ(gamma.size(), network_->schema().num_link_types());
-  GENCLUS_CHECK_EQ(components.size(), attributes_.size());
-
-  const size_t n = network_->num_nodes();
-  const size_t num_clusters = config_->num_clusters;
-  ws->Prepare(n, num_clusters, attributes_, NumBlocks());
-  ws->PrepareSharding(*network_, config_->theta_shards);
-  RebuildDerivedTables(components, ws);
-  if (n == 0) {
-    // No blocks run below; clear the lone reduction slot by hand so a
-    // reused workspace cannot leak stale statistics into the M-step.
-    for (auto& a : ws->block_acc_[0]) ZeroAccumulator(&a);
-    ws->block_delta_[0] = 0.0;
-    ws->block_objective_[0] = 0.0;
-  }
-
-  // One K dispatch per sweep, with the same cases as SpmmRowsDispatch and
-  // InferSession::SweepRows.
-  const double* theta_data = theta.data().data();
-  switch (num_clusters) {
-    case 2:
-      FusedSweep<2>(gamma, theta_data, track, ws);
-      break;
-    case 3:
-      FusedSweep<3>(gamma, theta_data, track, ws);
-      break;
-    case 4:
-      FusedSweep<4>(gamma, theta_data, track, ws);
-      break;
-    case 8:
-      FusedSweep<8>(gamma, theta_data, track, ws);
-      break;
-    default:
-      FusedSweep<-1>(gamma, theta_data, track, ws);
-      break;
-  }
-}
-
-double EmOptimizer::FusedStep(const std::vector<double>& gamma, Matrix* theta,
-                              std::vector<AttributeComponents>* components,
-                              EmWorkspace* ws, double* entry_objective) const {
-  GENCLUS_CHECK(theta != nullptr && components != nullptr);
-  const bool track = entry_objective != nullptr;
-  Sweep(gamma, *theta, *components, track, ws);
-
-  // Deterministic reduction: fold block partials in block order, so the
-  // merged statistics (and hence beta and the Gaussians) never depend on
-  // how blocks were scheduled across threads.
-  const size_t num_blocks = NumBlocks();
-  double delta = 0.0;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    delta = std::max(delta, ws->block_delta_[b]);
-  }
-  if (track) {
-    double obj = 0.0;
-    for (size_t b = 0; b < num_blocks; ++b) obj += ws->block_objective_[b];
-    *entry_objective = obj;
-  }
-  for (size_t b = 1; b < num_blocks; ++b) {
-    for (size_t t = 0; t < attributes_.size(); ++t) {
-      MergeAccumulator(&ws->block_acc_[0][t], ws->block_acc_[b][t]);
-    }
-  }
-  UpdateComponents(ws->block_acc_[0], components);
-  std::swap(*theta, ws->new_theta_);
-  return delta;
-}
-
-double EmOptimizer::FusedObjective(
-    const std::vector<double>& gamma, const Matrix& theta,
-    const std::vector<AttributeComponents>& components,
-    EmWorkspace* ws) const {
-  // g1 at (theta, components) is the entry objective of the step taken
-  // from that iterate: run its sweep and read only the objective partials.
-  // theta and components are not written; the sweep's new rows and block
-  // statistics stay in the workspace, where the next sweep overwrites
-  // them.
-  Sweep(gamma, theta, components, /*track=*/true, ws);
-  double obj = 0.0;
-  for (size_t b = 0; b < NumBlocks(); ++b) obj += ws->block_objective_[b];
-  return obj;
 }
 
 void EmOptimizer::ProcessNodes(
@@ -579,13 +461,68 @@ void EmOptimizer::UpdateComponents(
 double EmOptimizer::Step(const std::vector<double>& gamma, Matrix* theta,
                          std::vector<AttributeComponents>* components) const {
   EmWorkspace workspace;
-  return FusedStep(gamma, theta, components, &workspace, nullptr);
+  return Step(gamma, theta, components, &workspace);
 }
 
 double EmOptimizer::Step(const std::vector<double>& gamma, Matrix* theta,
                          std::vector<AttributeComponents>* components,
-                         EmWorkspace* workspace) const {
-  return FusedStep(gamma, theta, components, workspace, nullptr);
+                         EmWorkspace* ws) const {
+  GENCLUS_CHECK(theta != nullptr && components != nullptr);
+  GENCLUS_CHECK(ws != nullptr);
+  GENCLUS_CHECK_EQ(theta->rows(), network_->num_nodes());
+  GENCLUS_CHECK_EQ(theta->cols(), config_->num_clusters);
+  GENCLUS_CHECK_EQ(gamma.size(), network_->schema().num_link_types());
+  GENCLUS_CHECK_EQ(components->size(), attributes_.size());
+
+  const size_t n = network_->num_nodes();
+  const size_t num_clusters = config_->num_clusters;
+  const size_t num_blocks = NumBlocks();
+  ws->Prepare(n, num_clusters, attributes_, num_blocks);
+  ws->PrepareSharding(*network_, config_->theta_shards);
+  RebuildDerivedTables(*components, ws);
+  if (n == 0) {
+    // No blocks run below; clear the lone reduction slot by hand so a
+    // reused workspace cannot leak stale statistics into the M-step.
+    for (auto& a : ws->block_acc_[0]) ZeroAccumulator(&a);
+    ws->block_delta_[0] = 0.0;
+  }
+
+  // One K dispatch per sweep, with the same cases as SpmmRowsDispatch and
+  // InferSession::SweepRows.
+  const double* theta_data = theta->data().data();
+  switch (num_clusters) {
+    case 2:
+      FusedSweep<2>(gamma, theta_data, ws);
+      break;
+    case 3:
+      FusedSweep<3>(gamma, theta_data, ws);
+      break;
+    case 4:
+      FusedSweep<4>(gamma, theta_data, ws);
+      break;
+    case 8:
+      FusedSweep<8>(gamma, theta_data, ws);
+      break;
+    default:
+      FusedSweep<-1>(gamma, theta_data, ws);
+      break;
+  }
+
+  // Deterministic reduction: fold block partials in block order, so the
+  // merged statistics (and hence beta and the Gaussians) never depend on
+  // how blocks were scheduled across threads.
+  double delta = 0.0;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    delta = std::max(delta, ws->block_delta_[b]);
+  }
+  for (size_t b = 1; b < num_blocks; ++b) {
+    for (size_t t = 0; t < attributes_.size(); ++t) {
+      MergeAccumulator(&ws->block_acc_[0][t], ws->block_acc_[b][t]);
+    }
+  }
+  UpdateComponents(ws->block_acc_[0], components);
+  std::swap(*theta, ws->new_theta_);
+  return delta;
 }
 
 double EmOptimizer::ReferenceStep(
@@ -609,38 +546,24 @@ double EmOptimizer::ReferenceStep(
 }
 
 EmStats EmOptimizer::Run(const std::vector<double>& gamma, Matrix* theta,
-                         std::vector<AttributeComponents>* components,
-                         bool track_objective) const {
+                         std::vector<AttributeComponents>* components) const {
   EmWorkspace workspace;
-  return Run(gamma, theta, components, &workspace, track_objective);
+  return Run(gamma, theta, components, &workspace);
 }
 
 EmStats EmOptimizer::Run(const std::vector<double>& gamma, Matrix* theta,
                          std::vector<AttributeComponents>* components,
-                         EmWorkspace* workspace, bool track_objective) const {
+                         EmWorkspace* workspace) const {
   GENCLUS_CHECK(workspace != nullptr);
   EmStats stats;
   for (size_t iter = 0; iter < config_->em_iterations; ++iter) {
-    // The sweep of iteration t evaluates g1 at its entry iterate for free,
-    // which is exactly the post-iteration value of iteration t-1 (useless
-    // on the first sweep); only the final iterate needs a dedicated
-    // objective pass below.
-    double entry_objective = 0.0;
-    const bool want_entry = track_objective && iter > 0;
-    const double delta =
-        FusedStep(gamma, theta, components, workspace,
-                  want_entry ? &entry_objective : nullptr);
-    if (want_entry) stats.objective_trace.push_back(entry_objective);
+    const double delta = Step(gamma, theta, components, workspace);
     stats.iterations = iter + 1;
     stats.final_delta = delta;
     if (delta < config_->em_tolerance) {
       stats.converged = true;
       break;
     }
-  }
-  if (track_objective && stats.iterations > 0) {
-    stats.objective_trace.push_back(
-        FusedObjective(gamma, *theta, *components, workspace));
   }
   return stats;
 }

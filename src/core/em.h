@@ -52,11 +52,6 @@ namespace genclus {
 struct EmStats {
   size_t iterations = 0;
   bool converged = false;
-  /// g1 objective after each EM iteration, filled only when
-  /// track_objective. Entries up to the second-to-last are computed for
-  /// free inside the next iteration's fused sweep; only the last iterate
-  /// pays one more sweep (FusedObjective) for its entry.
-  std::vector<double> objective_trace;
   /// Max |Theta_t - Theta_{t-1}| at the last iteration.
   double final_delta = 0.0;
 };
@@ -105,12 +100,10 @@ class EmWorkspace {
   // block_acc_[block][attribute]
   std::vector<std::vector<EmComponentAccumulator>> block_acc_;
   std::vector<double> block_delta_;
-  std::vector<double> block_objective_;
-  // Per-block scratch: 4 * K doubles each (responsibilities, log theta_v
-  // clamped for the E-step, log theta_v clamped for the structural score,
-  // and the hoisted log theta_vk + log_norm_k base of the Gaussian
-  // E-step). The runtime-K sweep uses it; the K-specialized sweeps keep
-  // the same four rows in local arrays.
+  // Per-block scratch: 3 * K doubles each (responsibilities, log theta_v
+  // clamped for the E-step, and the hoisted log theta_vk + log_norm_k base
+  // of the Gaussian E-step). The runtime-K sweep uses it; the
+  // K-specialized sweeps keep the same three rows in local arrays.
   std::vector<double> scratch_;
   // Term-major transpose of each categorical attribute's beta (vocab x K),
   // so the per-term E-step reads K contiguous doubles.
@@ -139,11 +132,10 @@ class EmOptimizer {
   /// overload without a workspace allocates one for the whole run; pass a
   /// workspace to reuse scratch across runs (e.g. outer iterations).
   EmStats Run(const std::vector<double>& gamma, Matrix* theta,
-              std::vector<AttributeComponents>* components,
-              bool track_objective = false) const;
+              std::vector<AttributeComponents>* components) const;
   EmStats Run(const std::vector<double>& gamma, Matrix* theta,
               std::vector<AttributeComponents>* components,
-              EmWorkspace* workspace, bool track_objective = false) const;
+              EmWorkspace* workspace) const;
 
   /// One EM iteration; returns max |Theta_new - Theta_old|. The overload
   /// without a workspace allocates a fresh one per call — prefer passing
@@ -160,15 +152,6 @@ class EmOptimizer {
   double ReferenceStep(const std::vector<double>& gamma, Matrix* theta,
                        std::vector<AttributeComponents>* components) const;
 
-  /// g1 objective (feature part + attribute log-likelihood) at the given
-  /// iterate: the entry objective of the blocked sweep a Step from that
-  /// iterate runs (one sweep's cost; `theta` and `components` are not
-  /// written). Equal to objective.h's G1Objective up to floating-point
-  /// reassociation, and bitwise invariant to the thread count.
-  double FusedObjective(const std::vector<double>& gamma, const Matrix& theta,
-                        const std::vector<AttributeComponents>& components,
-                        EmWorkspace* workspace) const;
-
   /// Re-estimates components from scratch treating `theta` rows as
   /// observation responsibilities, through the EM M-step's own rule
   /// (used by initialization and ApplyUpdates' component refresh).
@@ -176,31 +159,17 @@ class EmOptimizer {
                           std::vector<AttributeComponents>* components) const;
 
  private:
-  // Kernel-path sweep: one EM iteration reusing `workspace`. When
-  // `entry_objective` is non-null, also computes g1 at the *input* iterate
-  // (theta, components) fused into the same traversal.
-  double FusedStep(const std::vector<double>& gamma, Matrix* theta,
-                   std::vector<AttributeComponents>* components,
-                   EmWorkspace* workspace, double* entry_objective) const;
-
-  // The sweep behind FusedStep and FusedObjective: sizes `workspace`,
-  // rebuilds its derived tables and runs FusedSweep at (theta,
-  // components) with one K dispatch, leaving the new rows, block
-  // statistics and block partials (the entry objective when `track`) in
-  // `workspace`.
-  void Sweep(const std::vector<double>& gamma, const Matrix& theta,
-             const std::vector<AttributeComponents>& components, bool track,
-             EmWorkspace* workspace) const;
-
-  // The blocked sweep body: per block, the link term, then per row the
-  // log hoists, the categorical and Gaussian E-step, the normalization
-  // and the delta. kFixedK > 0 is a compile-time cluster count; -1 reads
-  // K from the config. Every instantiation computes the same bits.
+  // The blocked sweep body Step dispatches on K: per block, the link
+  // term, then per row the log hoists, the categorical and Gaussian
+  // E-step, the normalization and the delta, leaving the new rows and the
+  // block statistics in `workspace`. kFixedK > 0 is a compile-time
+  // cluster count; -1 reads K from the config. Every instantiation
+  // computes the same bits.
   template <int kFixedK>
   void FusedSweep(const std::vector<double>& gamma, const double* theta_data,
-                  bool track, EmWorkspace* workspace) const;
+                  EmWorkspace* workspace) const;
 
-  // Link part of the fused sweeps: out rows [begin, end) +=
+  // Link part of the fused sweep: out rows [begin, end) +=
   // sum_r gamma_r (W_r Theta), each relation computed per column shard in
   // ascending shard order — bitwise identical to the unsharded product
   // for every shard count (see linalg/sharding.h).

@@ -2,8 +2,8 @@
 // learned link-type strengths gamma, the per-attribute mixture components
 // beta, and enough schema/attribute metadata to validate serving queries
 // against the model without the original Dataset. A Model is produced by
-// Engine::Fit, serialized with SaveModel/LoadModel (core/model_io.h), and
-// served through an Engine (core/engine.h).
+// Engine::Fit, serialized with SaveModelBinary/LoadModelBinary
+// (core/model_io.h), and served through an Engine (core/engine.h).
 #pragma once
 
 #include <cstdint>
@@ -51,7 +51,7 @@ struct Model {
   /// partitioned into. The storage stays one dense row-major allocation —
   /// shard s is the row block [ThetaPartition().begin(s), end(s)) — so
   /// every dense accessor is unchanged and 1 shard ≡ the monolithic
-  /// layout. Stamped by Engine::Fit, persisted by both model formats.
+  /// layout. Stamped by Engine::Fit, persisted in the model file.
   size_t theta_shards = 1;
 
   size_t num_clusters() const { return theta.cols(); }
@@ -87,9 +87,9 @@ struct Model {
 
   /// Content fingerprint: the FNV-1a64 checksum of the binary container's
   /// payload (core/model_io.h), computed without touching the filesystem.
-  /// Two models fingerprint equal iff SaveModel would write byte-equal
-  /// payloads — the identity Server stamps on swapped models and the
-  /// bench drift gates compare. Defined in model_io.cc.
+  /// Two models fingerprint equal iff SaveModelBinary would write
+  /// byte-equal payloads — the identity Server stamps on swapped models
+  /// and the bench drift gates compare. Defined in model_io.cc.
   uint64_t Fingerprint() const;
 };
 

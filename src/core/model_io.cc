@@ -7,10 +7,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <iterator>
 #include <span>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -21,13 +19,10 @@
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
-#include "hin/io.h"
 
 namespace genclus {
 
 namespace {
-
-constexpr int kModelFormatVersion = 1;
 
 // --------------------------------------------------------------------------
 // Binary container plumbing (layout documented in model_io.h).
@@ -55,8 +50,7 @@ size_t RoundUpTo(size_t value, size_t alignment) {
 Status RequireLittleEndian() {
   if (std::endian::native != std::endian::little) {
     return Status::FailedPrecondition(
-        "binary model I/O is little-endian only; use the text format on "
-        "this host");
+        "binary model I/O is little-endian only");
   }
   return Status::OK();
 }
@@ -133,14 +127,6 @@ Status CommitFileAtomic(const std::string& path,
   return Status::OK();
 }
 
-std::span<const uint8_t> BytesOf(const std::string& s) {
-  return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
-}
-
-std::span<const uint8_t> BytesOf(const std::vector<uint8_t>& v) {
-  return {v.data(), v.size()};
-}
-
 // Bounds-checked forward cursor over a loaded file image. Every read
 // fails (returns false) instead of running past the buffer, so a
 // truncated or lying file surfaces as a clean error at the call site.
@@ -185,277 +171,6 @@ class ByteReader {
   const std::vector<uint8_t>& bytes_;
   size_t offset_;
 };
-
-}  // namespace
-
-Status SaveModel(const Model& model, const std::string& path) {
-  GENCLUS_RETURN_IF_ERROR(model.Validate());
-  // Serialize to memory first, then commit atomically: `path` either
-  // keeps its previous contents or holds the complete new model, never a
-  // torn mix.
-  std::ostringstream out;
-  // Round-trip exactness: shortest representation that parses back to the
-  // same double (same convention as SaveDataset).
-  out << std::setprecision(17);
-  out << "# genclus trained model\n";
-  out << "genclus_model " << kModelFormatVersion << "\n";
-  out << "clusters " << model.num_clusters() << "\n";
-  out << "nodes " << model.num_nodes() << "\n";
-  out << "theta_shards " << model.theta_shards << "\n";
-  out << "objective " << model.objective << "\n";
-  for (size_t r = 0; r < model.gamma.size(); ++r) {
-    out << "link_type " << model.link_types[r] << " " << model.gamma[r]
-        << "\n";
-  }
-  for (size_t v = 0; v < model.theta.rows(); ++v) {
-    out << "theta " << v;
-    const double* row = model.theta.Row(v);
-    for (size_t k = 0; k < model.theta.cols(); ++k) out << " " << row[k];
-    out << "\n";
-  }
-  for (size_t a = 0; a < model.components.size(); ++a) {
-    const ModelAttributeInfo& info = model.attributes[a];
-    const AttributeComponents& comp = model.components[a];
-    if (info.kind == AttributeKind::kCategorical) {
-      out << "attribute categorical " << info.name << " " << info.vocab_size
-          << "\n";
-      for (size_t k = 0; k < comp.beta().rows(); ++k) {
-        out << "beta " << k;
-        const double* row = comp.beta().Row(k);
-        for (size_t l = 0; l < comp.beta().cols(); ++l) {
-          out << " " << row[l];
-        }
-        out << "\n";
-      }
-    } else {
-      out << "attribute numerical " << info.name << "\n";
-      for (size_t k = 0; k < comp.num_clusters(); ++k) {
-        const GaussianDistribution& g =
-            comp.gaussian(static_cast<ClusterId>(k));
-        out << "gaussian " << k << " " << g.mean() << " " << g.variance()
-            << "\n";
-      }
-    }
-  }
-  const std::string text = std::move(out).str();
-  return CommitFileAtomic(path, {BytesOf(text)});
-}
-
-Result<Model> LoadModel(const std::string& path) {
-  // Parse state. Header records (version, clusters, nodes) must precede
-  // the bulk sections so matrices can be sized up front.
-  bool version_seen = false;
-  size_t num_clusters = 0;
-  size_t num_nodes = 0;
-  bool nodes_seen = false;
-  bool objective_seen = false;
-
-  Model model;
-
-  struct PendingAttr {
-    ModelAttributeInfo info;
-    Matrix beta;                   // categorical
-    std::vector<bool> rows_seen;   // per-cluster component rows
-    std::vector<std::pair<double, double>> gaussians;  // mean, variance
-  };
-  std::vector<PendingAttr> attrs;
-  std::vector<bool> theta_seen;
-
-  GENCLUS_RETURN_IF_ERROR(ForEachTextRecord(
-      path,
-      [&](size_t line_no,
-          const std::vector<std::string>& tok) -> Status {
-        const std::string& cmd = tok[0];
-        auto bad = [&](const char* why) {
-          return RecordError(path, line_no, why);
-        };
-        if (cmd == "genclus_model") {
-          if (version_seen) return bad("duplicate genclus_model record");
-          size_t version = 0;
-          if (tok.size() != 2 || !ParseSizeT(tok[1], &version)) {
-            return bad("genclus_model needs a version number");
-          }
-          if (version != static_cast<size_t>(kModelFormatVersion)) {
-            return bad("unsupported model format version");
-          }
-          version_seen = true;
-          return Status::OK();
-        }
-        if (!version_seen) {
-          return bad("file does not start with a genclus_model header");
-        }
-        if (cmd == "clusters") {
-          // Header records are single-shot: buffers below are sized from
-          // them, so a re-declaration would desynchronize bounds checks.
-          if (num_clusters != 0) return bad("duplicate clusters record");
-          if (tok.size() != 2 || !ParseSizeT(tok[1], &num_clusters)) {
-            return bad("clusters needs a count");
-          }
-          if (num_clusters < 2) return bad("clusters must be >= 2");
-        } else if (cmd == "nodes") {
-          if (nodes_seen) return bad("duplicate nodes record");
-          if (tok.size() != 2 || !ParseSizeT(tok[1], &num_nodes)) {
-            return bad("nodes needs a count");
-          }
-          nodes_seen = true;
-        } else if (cmd == "theta_shards") {
-          // Optional (files before the sharded-Θ format keep default 1).
-          if (tok.size() != 2 ||
-              !ParseSizeT(tok[1], &model.theta_shards) ||
-              model.theta_shards == 0) {
-            return bad("theta_shards needs a positive count");
-          }
-        } else if (cmd == "objective") {
-          if (objective_seen) return bad("duplicate objective record");
-          if (tok.size() != 2 || !ParseDouble(tok[1], &model.objective)) {
-            return bad("objective needs a value");
-          }
-          objective_seen = true;
-        } else if (cmd == "link_type") {
-          double g = 0.0;
-          if (tok.size() != 3 || !ParseDouble(tok[2], &g)) {
-            return bad("link_type needs a name and a strength");
-          }
-          if (!std::isfinite(g) || g < 0.0) {
-            return bad("link strength must be finite and >= 0");
-          }
-          model.link_types.push_back(tok[1]);
-          model.gamma.push_back(g);
-        } else if (cmd == "theta") {
-          if (num_clusters == 0 || !nodes_seen) {
-            return bad("theta before clusters/nodes header");
-          }
-          if (model.theta.empty() && num_nodes > 0) {
-            model.theta = Matrix(num_nodes, num_clusters);
-            theta_seen.assign(num_nodes, false);
-          }
-          size_t v = 0;
-          if (tok.size() != 2 + num_clusters || !ParseSizeT(tok[1], &v)) {
-            return bad("theta needs a node id and K values");
-          }
-          if (v >= num_nodes) return bad("theta node id out of range");
-          if (theta_seen[v]) return bad("duplicate theta row");
-          theta_seen[v] = true;
-          for (size_t k = 0; k < num_clusters; ++k) {
-            if (!ParseDouble(tok[2 + k], &model.theta(v, k)) ||
-                !std::isfinite(model.theta(v, k))) {
-              return bad("theta has malformed value");
-            }
-          }
-        } else if (cmd == "attribute") {
-          if (num_clusters == 0) return bad("attribute before clusters");
-          if (tok.size() < 3) return bad("attribute needs kind and name");
-          PendingAttr pa;
-          pa.info.name = tok[2];
-          pa.rows_seen.assign(num_clusters, false);
-          if (tok[1] == "categorical") {
-            if (tok.size() != 4 ||
-                !ParseSizeT(tok[3], &pa.info.vocab_size) ||
-                pa.info.vocab_size == 0) {
-              return bad("categorical attribute needs a vocabulary size");
-            }
-            pa.info.kind = AttributeKind::kCategorical;
-            pa.beta = Matrix(num_clusters, pa.info.vocab_size);
-          } else if (tok[1] == "numerical") {
-            if (tok.size() != 3) return bad("numerical attribute: extra fields");
-            pa.info.kind = AttributeKind::kNumerical;
-            pa.gaussians.assign(num_clusters, {0.0, 0.0});
-          } else {
-            return bad("unknown attribute kind");
-          }
-          attrs.push_back(std::move(pa));
-        } else if (cmd == "beta") {
-          if (attrs.empty() ||
-              attrs.back().info.kind != AttributeKind::kCategorical) {
-            return bad("beta without a preceding categorical attribute");
-          }
-          PendingAttr& pa = attrs.back();
-          size_t k = 0;
-          if (tok.size() != 2 + pa.info.vocab_size ||
-              !ParseSizeT(tok[1], &k)) {
-            return bad("beta needs a cluster id and vocab values");
-          }
-          if (k >= num_clusters) return bad("beta cluster id out of range");
-          if (pa.rows_seen[k]) return bad("duplicate beta row");
-          pa.rows_seen[k] = true;
-          for (size_t l = 0; l < pa.info.vocab_size; ++l) {
-            if (!ParseDouble(tok[2 + l], &pa.beta(k, l))) {
-              return bad("beta has malformed value");
-            }
-          }
-        } else if (cmd == "gaussian") {
-          if (attrs.empty() ||
-              attrs.back().info.kind != AttributeKind::kNumerical) {
-            return bad("gaussian without a preceding numerical attribute");
-          }
-          PendingAttr& pa = attrs.back();
-          size_t k = 0;
-          double mean = 0.0;
-          double variance = 0.0;
-          if (tok.size() != 4 || !ParseSizeT(tok[1], &k) ||
-              !ParseDouble(tok[2], &mean) ||
-              !ParseDouble(tok[3], &variance)) {
-            return bad("gaussian needs cluster, mean, variance");
-          }
-          if (k >= num_clusters) {
-            return bad("gaussian cluster id out of range");
-          }
-          if (pa.rows_seen[k]) return bad("duplicate gaussian row");
-          if (!std::isfinite(mean) || !std::isfinite(variance) ||
-              variance <= 0.0) {
-            return bad("gaussian needs finite mean and positive variance");
-          }
-          pa.rows_seen[k] = true;
-          pa.gaussians[k] = {mean, variance};
-        } else {
-          return bad("unknown record type");
-        }
-        return Status::OK();
-      }));
-
-  // Completeness checks: a truncated file is an error, not a partial model.
-  auto incomplete = [&](const char* why) {
-    return Status::IoError(StrFormat("%s: %s", path.c_str(), why));
-  };
-  if (!version_seen) return incomplete("missing genclus_model header");
-  if (num_clusters == 0) return incomplete("missing clusters record");
-  if (!nodes_seen) return incomplete("missing nodes record");
-  if (!objective_seen) return incomplete("missing objective record");
-  if (num_nodes > 0 && model.theta.empty()) {
-    return incomplete("missing theta rows");
-  }
-  for (size_t v = 0; v < theta_seen.size(); ++v) {
-    if (!theta_seen[v]) {
-      return incomplete("truncated file: missing theta rows");
-    }
-  }
-  for (PendingAttr& pa : attrs) {
-    for (size_t k = 0; k < num_clusters; ++k) {
-      if (!pa.rows_seen[k]) {
-        return incomplete("truncated file: missing component rows");
-      }
-    }
-    model.attributes.push_back(pa.info);
-    if (pa.info.kind == AttributeKind::kCategorical) {
-      AttributeComponents comp = AttributeComponents::CategoricalUniform(
-          num_clusters, pa.info.vocab_size);
-      *comp.mutable_beta() = std::move(pa.beta);
-      model.components.push_back(std::move(comp));
-    } else {
-      std::vector<GaussianDistribution> gaussians;
-      gaussians.reserve(num_clusters);
-      for (const auto& [mean, variance] : pa.gaussians) {
-        gaussians.emplace_back(mean, variance);
-      }
-      model.components.push_back(
-          AttributeComponents::Numerical(std::move(gaussians)));
-    }
-  }
-  GENCLUS_RETURN_IF_ERROR(model.Validate());
-  return model;
-}
-
-namespace {
 
 // Serializes everything after the 64-byte header: objective, link types
 // + gammas, components, the aligned shard table and the raw Θ blocks.
@@ -557,7 +272,7 @@ Status SaveModelBinary(const Model& model, const std::string& path) {
   AppendScalar(&header, static_cast<uint64_t>(model.theta_shards));
   PadTo(&header, kBinaryHeaderSize);  // reserved tail
 
-  return CommitFileAtomic(path, {BytesOf(header), BytesOf(payload)});
+  return CommitFileAtomic(path, {header, payload});
 }
 
 Result<Model> LoadModelBinary(const std::string& path) {
@@ -609,14 +324,16 @@ Result<Model> LoadModelBinary(const std::string& path) {
   }
   const size_t num_nodes = static_cast<size_t>(num_nodes64);
   const size_t num_clusters = static_cast<size_t>(num_clusters64);
+  // Model::Validate refuses K < 2 anyway; refusing it here keeps a zero K
+  // away from the component constructors below.
+  if (num_clusters < 2) return bad("cluster count must be >= 2");
   if (num_shards64 < 1 ||
       num_shards64 > std::max<uint64_t>(1, num_nodes64)) {
     return bad("theta shard count out of range");
   }
   // Reject absurd extents before sizing Θ: every row must physically fit
   // in the payload, so a lying header cannot trigger a huge allocation.
-  if (num_clusters != 0 &&
-      num_nodes > payload_size / sizeof(double) / num_clusters) {
+  if (num_nodes > payload_size / sizeof(double) / num_clusters) {
     return bad("theta extent exceeds the file");
   }
 
@@ -625,9 +342,11 @@ Result<Model> LoadModelBinary(const std::string& path) {
   ByteReader reader(bytes, kBinaryHeaderSize);
   if (!reader.ReadScalar(&model.objective)) return bad("truncated objective");
 
+  // Each link type takes at least a u32 name length and an f64 gamma.
   uint64_t num_link_types = 0;
   if (!reader.ReadScalar(&num_link_types) ||
-      num_link_types > reader.remaining()) {
+      num_link_types >
+          reader.remaining() / (sizeof(uint32_t) + sizeof(double))) {
     return bad("truncated link-type section");
   }
   model.link_types.resize(static_cast<size_t>(num_link_types));
@@ -655,7 +374,7 @@ Result<Model> LoadModelBinary(const std::string& path) {
     if (kind == 0) {
       info.kind = AttributeKind::kCategorical;
       info.vocab_size = static_cast<size_t>(vocab);
-      if (info.vocab_size == 0 || num_clusters == 0 ||
+      if (info.vocab_size == 0 ||
           info.vocab_size >
               reader.remaining() / sizeof(double) / num_clusters) {
         return bad("categorical attribute extent exceeds the file");
@@ -671,6 +390,9 @@ Result<Model> LoadModelBinary(const std::string& path) {
     } else if (kind == 1) {
       info.kind = AttributeKind::kNumerical;
       if (vocab != 0) return bad("numerical attribute declares a vocabulary");
+      if (num_clusters > reader.remaining() / (2 * sizeof(double))) {
+        return bad("truncated gaussian rows");
+      }
       std::vector<GaussianDistribution> gaussians;
       gaussians.reserve(num_clusters);
       for (size_t k = 0; k < num_clusters; ++k) {

@@ -1,14 +1,6 @@
-// Serialization of trained Models in two formats.
-//
-// Text (SaveModel/LoadModel): the fidelity format, alongside the dataset
-// format in hin/io.h (read through ForEachTextRecord's line-oriented
-// scaffolding). Doubles are written at 17 significant digits, so a
-// save/load round trip is bit-exact and a model trained once keeps
-// answering queries with the same doubles after being persisted and
-// reloaded.
-//
-// Binary (SaveModelBinary/LoadModelBinary): a versioned little-endian
-// container built for fast, checksummed loads of large models. Layout:
+// Serialization of trained Models: one versioned little-endian binary
+// container (SaveModelBinary/LoadModelBinary), built for fast, checksummed
+// loads of large models. Layout:
 //
 //   [64-byte header]
 //     bytes  0..7   magic "GENCLUSB"
@@ -37,8 +29,9 @@
 //
 // Every section is written little-endian; Θ blocks are 64-byte aligned in
 // the file so a loaded (or memory-mapped) image can hand shard pointers
-// straight to the SpMM kernels. A binary round trip is bitwise exact and
-// equivalent to the text round trip of the same model.
+// straight to the SpMM kernels. A round trip is bitwise exact: a model
+// trained once answers queries with the same doubles after it is saved
+// and reloaded.
 #pragma once
 
 #include <string>
@@ -47,28 +40,6 @@
 #include "core/model.h"
 
 namespace genclus {
-
-/// Writes `model` to `path`. Fails with InvalidArgument if the model does
-/// not pass Model::Validate(), IoError on filesystem problems.
-Status SaveModel(const Model& model, const std::string& path);
-
-/// Reads a model written by SaveModel. Truncated or corrupt files fail
-/// with a clean IoError naming the offending line; the loaded model is
-/// re-validated before being returned.
-///
-/// Grammar (one record per line, '#' starts a comment):
-///   genclus_model <version>
-///   clusters <K>
-///   nodes <N>
-///   objective <value>
-///   link_type <name> <gamma>
-///   theta <node> <K values>
-///   attribute categorical <name> <vocab>
-///   beta <cluster> <vocab values>        (for the preceding attribute)
-///   attribute numerical <name>
-///   gaussian <cluster> <mean> <variance> (for the preceding attribute)
-///   theta_shards <S>                     (optional; defaults to 1)
-Result<Model> LoadModel(const std::string& path);
 
 /// Writes `model` to `path` in the binary container described above.
 /// Fails with InvalidArgument if the model does not pass
@@ -79,7 +50,9 @@ Status SaveModelBinary(const Model& model, const std::string& path);
 /// and Gaussian parameters are bitwise identical to the saved ones.
 /// Truncated files, checksum mismatches, bad magic/version/flags and
 /// malformed sections all fail with a clean IoError; the loaded model is
-/// re-validated before being returned.
+/// re-validated before being returned. The checksum does not cover the
+/// header, so its counts are checked against the file before anything is
+/// sized from them.
 Result<Model> LoadModelBinary(const std::string& path);
 
 }  // namespace genclus

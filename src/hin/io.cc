@@ -161,30 +161,6 @@ class NameTable {
 
 }  // namespace
 
-Status RecordError(const std::string& path, size_t line_no, const char* why) {
-  return Status::IoError(
-      StrFormat("%s:%zu: %s", path.c_str(), line_no, why));
-}
-
-Status ForEachTextRecord(
-    const std::string& path,
-    const std::function<Status(size_t line_no,
-                               const std::vector<std::string>& tokens)>& fn) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::string trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    GENCLUS_RETURN_IF_ERROR(fn(line_no, SplitWhitespace(trimmed)));
-  }
-  return Status::OK();
-}
-
 Status SaveDataset(const Dataset& dataset, const std::string& path) {
   GENCLUS_RETURN_IF_ERROR(dataset.Validate());
   std::ofstream out(path);
@@ -314,7 +290,8 @@ Result<Dataset> LoadDataset(const std::string& path) {
         if (n == 0 || tok[0][0] == '#') return Status::OK();
         const std::string_view cmd = tok[0];
         auto bad = [&](const char* why) {
-          return RecordError(path, line_no, why);
+          return Status::IoError(
+              StrFormat("%s:%zu: %s", path.c_str(), line_no, why));
         };
         if (cmd == "object_type") {
           if (n != 2) return bad("object_type needs 1 field");

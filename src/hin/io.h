@@ -3,27 +3,12 @@
 // exchanging the synthetic benchmark networks and for round-trip tests.
 #pragma once
 
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "hin/dataset.h"
 
 namespace genclus {
-
-/// Streams the line-oriented text model format (core/model_io.h): reads
-/// `path`, skips blank lines and '#' comments, tokenizes each record on
-/// whitespace, and calls fn(line_no, tokens). A non-OK return
-/// from fn aborts the scan and is propagated. Errors that fn reports
-/// should use RecordError for uniform "<path>:<line>: <why>" messages.
-Status ForEachTextRecord(
-    const std::string& path,
-    const std::function<Status(size_t line_no,
-                               const std::vector<std::string>& tokens)>& fn);
-
-/// An IoError pinpointing a record: "<path>:<line>: <why>".
-Status RecordError(const std::string& path, size_t line_no, const char* why);
 
 /// Writes `dataset` to `path`. The format is self-describing; see
 /// LoadDataset for the grammar.

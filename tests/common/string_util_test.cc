@@ -5,59 +5,6 @@
 namespace genclus {
 namespace {
 
-TEST(SplitTest, BasicDelimiter) {
-  auto parts = Split("a,b,c", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "b");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(SplitTest, KeepsEmptyFields) {
-  auto parts = Split("a,,c,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(SplitTest, EmptyString) {
-  auto parts = Split("", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "");
-}
-
-TEST(SplitWhitespaceTest, DropsRuns) {
-  auto parts = SplitWhitespace("  alpha\t beta\n\ngamma ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "alpha");
-  EXPECT_EQ(parts[1], "beta");
-  EXPECT_EQ(parts[2], "gamma");
-}
-
-TEST(SplitWhitespaceTest, AllWhitespaceYieldsNothing) {
-  EXPECT_TRUE(SplitWhitespace(" \t\n ").empty());
-}
-
-TEST(JoinTest, RoundTripWithSplit) {
-  std::vector<std::string> parts = {"x", "y", "z"};
-  EXPECT_EQ(Join(parts, "|"), "x|y|z");
-  EXPECT_EQ(Join({}, "|"), "");
-  EXPECT_EQ(Join({"only"}, ", "), "only");
-}
-
-TEST(TrimTest, StripsBothEnds) {
-  EXPECT_EQ(Trim("  hello \t"), "hello");
-  EXPECT_EQ(Trim("nothing"), "nothing");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim(""), "");
-}
-
-TEST(StartsWithTest, Basic) {
-  EXPECT_TRUE(StartsWith("link_type foo", "link_type"));
-  EXPECT_FALSE(StartsWith("link", "link_type"));
-  EXPECT_TRUE(StartsWith("anything", ""));
-}
-
 TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");

@@ -85,19 +85,24 @@ TEST_F(EmFixture, RunConvergesAndDeltaShrinks) {
   EXPECT_LT(stats.final_delta, 1e-8);
 }
 
-TEST_F(EmFixture, ObjectiveTraceIsTracked) {
+TEST_F(EmFixture, ObjectiveAlongEmStepsIsFiniteAndDoesNotFall) {
+  // g1 after each step, taken from G1Objective as Engine's outer loop
+  // takes it.
   EmOptimizer opt(&fixture_.dataset.network, attrs_, &config_, nullptr);
   Matrix theta;
   std::vector<AttributeComponents> comps;
   InitState(&theta, &comps);
-  config_.em_iterations = 10;
-  EmStats stats = opt.Run(gamma_, &theta, &comps, /*track_objective=*/true);
-  EXPECT_EQ(stats.objective_trace.size(), stats.iterations);
+  EmWorkspace workspace;
+  std::vector<double> trace;
+  for (int step = 0; step < 10; ++step) {
+    opt.Step(gamma_, &theta, &comps, &workspace);
+    trace.push_back(G1Objective(fixture_.dataset.network, attrs_, comps,
+                                theta, gamma_));
+  }
   // The alternating update should not collapse: all values finite.
-  for (double g1 : stats.objective_trace) EXPECT_TRUE(std::isfinite(g1));
+  for (double g1 : trace) EXPECT_TRUE(std::isfinite(g1));
   // Later iterations should not be dramatically worse than the start.
-  EXPECT_GE(stats.objective_trace.back(),
-            stats.objective_trace.front() - 1e-6);
+  EXPECT_GE(trace.back(), trace.front() - 1e-6);
 }
 
 TEST_F(EmFixture, RecoversPlantedCommunities) {
@@ -378,35 +383,6 @@ TEST_P(EmKernelByKTest, StepIsBitwiseInvariantToThreadCount) {
     EXPECT_EQ(comps[0].beta().data(), comps_serial[0].beta().data())
         << threads << " threads";
   }
-}
-
-TEST_F(EmFixture, FusedTraceMatchesG1Objective) {
-  // Run(track_objective) computes the trace inside the fused sweep; it
-  // must match an explicit G1Objective evaluation at every iterate. The
-  // factored structural term reassociates floating-point sums, so compare
-  // at 1e-12 relative to the objective's magnitude.
-  config_.em_iterations = 8;
-  config_.em_tolerance = 0.0;  // fixed iteration count for the replay
-  EmOptimizer opt(&fixture_.dataset.network, attrs_, &config_, nullptr);
-  Matrix theta;
-  std::vector<AttributeComponents> comps;
-  InitState(&theta, &comps, 61);
-  Matrix theta_replay = theta;
-  std::vector<AttributeComponents> comps_replay = comps;
-
-  EmStats stats = opt.Run(gamma_, &theta, &comps, /*track_objective=*/true);
-  ASSERT_EQ(stats.objective_trace.size(), stats.iterations);
-
-  EmWorkspace workspace;
-  for (size_t iter = 0; iter < stats.iterations; ++iter) {
-    opt.Step(gamma_, &theta_replay, &comps_replay, &workspace);
-    const double want = G1Objective(fixture_.dataset.network, attrs_,
-                                    comps_replay, theta_replay, gamma_);
-    const double tol = 1e-12 * (1.0 + std::fabs(want));
-    EXPECT_NEAR(stats.objective_trace[iter], want, tol) << "iter " << iter;
-  }
-  // The replayed final iterate equals Run's (same kernel path throughout).
-  EXPECT_EQ(theta.data(), theta_replay.data());
 }
 
 TEST(EmMultiBlockTest, KernelPathDeterministicAndCorrectAcrossBlocks) {

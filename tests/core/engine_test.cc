@@ -217,13 +217,13 @@ TEST_F(EngineFixture, InvalidQueriesFailAloneWithoutPoisoningTheBatch) {
 }
 
 TEST_F(EngineFixture, SaveLoadServeReproducesPostFitInferenceExactly) {
-  // The acceptance path: SaveModel → LoadModel → InferBatch must equal a
-  // direct post-Fit InferBatch byte-for-byte.
+  // The acceptance path: SaveModelBinary → LoadModelBinary → InferBatch
+  // must equal a direct post-Fit InferBatch byte-for-byte.
   const std::string path =
       (std::filesystem::temp_directory_path() / "engine_roundtrip.model")
           .string();
-  ASSERT_TRUE(SaveModel(model_, path).ok());
-  auto reloaded = LoadModel(path);
+  ASSERT_TRUE(SaveModelBinary(model_, path).ok());
+  auto reloaded = LoadModelBinary(path);
   std::remove(path.c_str());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
 

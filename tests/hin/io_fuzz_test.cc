@@ -14,12 +14,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
-#include "common/string_util.h"
 #include "hin/io.h"
 
 namespace genclus {
@@ -55,6 +55,24 @@ Dataset MakeDataset() {
   dataset.labels.Set(a0, 0);
   dataset.labels.Set(b0, 1);
   return dataset;
+}
+
+// The whitespace-separated fields of a dataset line.
+std::vector<std::string> Fields(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> fields;
+  for (std::string field; in >> field;) fields.push_back(field);
+  return fields;
+}
+
+// `fields` separated by single spaces.
+std::string JoinFields(const std::vector<std::string>& fields) {
+  std::string out;
+  for (const std::string& field : fields) {
+    if (!out.empty()) out += ' ';
+    out += field;
+  }
+  return out;
 }
 
 class IoFuzzTest : public ::testing::Test {
@@ -168,13 +186,13 @@ TEST_F(IoFuzzTest, HostileTokens) {
       "1e308", "1e-320",      "+1",   "0x1p3",        "-0",
       "#",     "A",           "ab",   "text",         "categorical"};
   for (size_t l = 0; l < lines_.size(); ++l) {
-    const std::vector<std::string> tokens = SplitWhitespace(lines_[l]);
+    const std::vector<std::string> tokens = Fields(lines_[l]);
     for (size_t t = 0; t < tokens.size(); ++t) {
       for (const char* hostile : kHostile) {
         std::vector<std::string> line = tokens;
         line[t] = hostile;
         std::vector<std::string> mutant = lines_;
-        mutant[l] = Join(line, " ") + "\n";
+        mutant[l] = JoinFields(line) + "\n";
         Check(Concat(mutant));
       }
     }

@@ -49,8 +49,8 @@ int main() {
   const auto path =
       (std::filesystem::temp_directory_path() / "consumer_check.model")
           .string();
-  if (!SaveModel(fit->model, path).ok()) return 1;
-  auto model = LoadModel(path);
+  if (!SaveModelBinary(fit->model, path).ok()) return 1;
+  auto model = LoadModelBinary(path);
   std::filesystem::remove(path);
   if (!model.ok()) return 1;
 
