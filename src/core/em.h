@@ -32,8 +32,9 @@
 // Theta, beta and the Gaussians are therefore bitwise identical for any
 // thread count, including pool == nullptr.
 //
-// ReferenceStep preserves the original per-link AoS traversal as a serial
-// reference implementation; tests cross-check the kernel path against it.
+// ReferenceStep preserves the original per-link traversal of each node's
+// OutLinks as a serial reference implementation; tests cross-check the
+// kernel path against it.
 #pragma once
 
 #include <vector>
@@ -146,9 +147,9 @@ class EmOptimizer {
               std::vector<AttributeComponents>* components,
               EmWorkspace* workspace) const;
 
-  /// One EM iteration through the original per-link AoS traversal, kept
-  /// as the serial reference implementation the kernel path is tested
-  /// against (and the baseline em_bench measures speedups from).
+  /// One EM iteration through the original per-link OutLinks traversal,
+  /// kept as the serial reference implementation the kernel path is
+  /// tested against (and the baseline em_bench measures speedups from).
   double ReferenceStep(const std::vector<double>& gamma, Matrix* theta,
                        std::vector<AttributeComponents>* components) const;
 
@@ -185,8 +186,8 @@ class EmOptimizer {
 
   size_t NumBlocks() const;
 
-  // Processes nodes [begin, end) with the original AoS traversal: fills
-  // new_theta rows and adds component statistics into acc. Serial
+  // Processes nodes [begin, end) with the original OutLinks traversal:
+  // fills new_theta rows and adds component statistics into acc. Serial
   // reference implementation backing ReferenceStep.
   void ProcessNodes(size_t begin, size_t end,
                     const std::vector<double>& gamma, const Matrix& theta,

@@ -2,10 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/string_util.h"
 
 namespace genclus {
+
+namespace {
+
+// How far a stored distribution's sum may drift from 1.
+constexpr double kSimplexTolerance = 1e-9;
+
+// Whether `row` is a distribution: every entry finite and >= 0, the sum
+// within kSimplexTolerance of 1.
+bool OnSimplex(const double* row, size_t size) {
+  double sum = 0.0;
+  for (size_t i = 0; i < size; ++i) {
+    // NaN fails both comparisons, -inf the first and +inf the second.
+    if (!(row[i] >= 0.0 && row[i] <= std::numeric_limits<double>::max())) {
+      return false;
+    }
+    sum += row[i];
+  }
+  return std::abs(sum - 1.0) <= kSimplexTolerance;
+}
+
+}  // namespace
 
 std::vector<uint32_t> Model::HardLabels() const { return RowArgMax(theta); }
 
@@ -13,9 +35,12 @@ Status Model::Validate() const {
   if (theta.cols() < 2) {
     return Status::FailedPrecondition("model has no clustering (K < 2)");
   }
-  for (double t : theta.data()) {
-    if (!std::isfinite(t)) {
-      return Status::InvalidArgument("model theta must be finite");
+  for (size_t v = 0; v < theta.rows(); ++v) {
+    if (!OnSimplex(theta.Row(v), theta.cols())) {
+      return Status::InvalidArgument(StrFormat(
+          "model theta row %zu is not a distribution (entries finite and "
+          ">= 0, summing to 1)",
+          v));
     }
   }
   if (gamma.size() != link_types.size()) {
@@ -52,11 +77,20 @@ Status Model::Validate() const {
           "attribute '%s': components for %zu clusters, model has %zu",
           info.name.c_str(), comp.num_clusters(), num_clusters()));
     }
-    if (info.kind == AttributeKind::kCategorical &&
-        comp.beta().cols() != info.vocab_size) {
+    if (info.kind != AttributeKind::kCategorical) continue;
+    const Matrix& beta = comp.beta();
+    if (beta.cols() != info.vocab_size) {
       return Status::InvalidArgument(StrFormat(
           "attribute '%s': beta vocabulary %zu does not match declared %zu",
-          info.name.c_str(), comp.beta().cols(), info.vocab_size));
+          info.name.c_str(), beta.cols(), info.vocab_size));
+    }
+    for (size_t k = 0; k < beta.rows(); ++k) {
+      if (!OnSimplex(beta.Row(k), beta.cols())) {
+        return Status::InvalidArgument(StrFormat(
+            "attribute '%s': beta row %zu is not a distribution (entries "
+            "finite and >= 0, summing to 1)",
+            info.name.c_str(), k));
+      }
     }
   }
   return Status::OK();

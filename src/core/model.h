@@ -70,8 +70,10 @@ struct Model {
   /// Hard labels: argmax_k theta(v, k).
   std::vector<uint32_t> HardLabels() const;
 
-  /// Internal consistency: non-degenerate clustering, gamma/link_types
-  /// aligned, components matching their attribute metadata and K.
+  /// Internal consistency: non-degenerate clustering, every Θ row and
+  /// every categorical β row a distribution (entries finite and >= 0,
+  /// summing to 1 within 1e-9), gamma finite, >= 0 and aligned with
+  /// link_types, components matching their attribute metadata and K.
   Status Validate() const;
 
   /// Validate() plus compatibility with `network`: node count and

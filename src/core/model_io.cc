@@ -6,8 +6,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
+#include <filesystem>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -123,6 +123,39 @@ Status CommitFileAtomic(const std::string& path,
     std::remove(tmp.c_str());
     return Status::IoError(StrFormat("rename of '%s' over '%s' failed",
                                      tmp.c_str(), path.c_str()));
+  }
+  return Status::OK();
+}
+
+struct FileCloser {
+  void operator()(std::FILE* file) const { std::fclose(file); }
+};
+
+// Reads the file at `path` into `bytes` with one fread, into a buffer
+// sized from the opened file. Only a regular file is read: a directory
+// opens too, but its end offset is no length.
+Status ReadFileImage(const std::string& path, std::vector<uint8_t>* bytes) {
+  std::unique_ptr<std::FILE, FileCloser> file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) {
+    return Status::IoError(
+        StrFormat("cannot open '%s' for reading", path.c_str()));
+  }
+  std::error_code error;
+  if (!std::filesystem::is_regular_file(path, error)) {
+    return Status::IoError(
+        StrFormat("'%s' is not a regular file", path.c_str()));
+  }
+  long size = -1;
+  if (std::fseek(file.get(), 0, SEEK_END) == 0) size = std::ftell(file.get());
+  if (size < 0 || std::fseek(file.get(), 0, SEEK_SET) != 0) {
+    return Status::IoError(StrFormat("cannot size '%s'", path.c_str()));
+  }
+  bytes->resize(static_cast<size_t>(size));
+  // A file cut short since it was sized reads short; the header and
+  // payload checks then report the truncation.
+  bytes->resize(std::fread(bytes->data(), 1, bytes->size(), file.get()));
+  if (std::ferror(file.get()) != 0) {
+    return Status::IoError(StrFormat("read of '%s' failed", path.c_str()));
   }
   return Status::OK();
 }
@@ -277,13 +310,8 @@ Status SaveModelBinary(const Model& model, const std::string& path) {
 
 Result<Model> LoadModelBinary(const std::string& path) {
   GENCLUS_RETURN_IF_ERROR(RequireLittleEndian());
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError(
-        StrFormat("cannot open '%s' for reading", path.c_str()));
-  }
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
+  std::vector<uint8_t> bytes;
+  GENCLUS_RETURN_IF_ERROR(ReadFileImage(path, &bytes));
   // Truncation injection: tests chop the file image in half to prove
   // every downstream bounds check turns it into a clean IoError.
   GENCLUS_FAILPOINT("model_io.load", bytes.resize(bytes.size() / 2));

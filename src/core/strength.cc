@@ -32,30 +32,31 @@ StrengthLearner::StrengthLearner(const Network* network, const Matrix* theta,
   num_relations_ = network_->schema().num_link_types();
   num_clusters_ = theta_->cols();
 
-  // Pass 1 (serial, O(|E|)): find nodes with out-links and count each
-  // one's relation groups. The grouping below assumes the out-link span
-  // is sorted by relation (network.h builds it that way); verify the
-  // invariant in debug builds since a violation would silently split one
-  // relation into several groups.
+  // Pass 1 (serial, O(|V| R)): find nodes with out-links and count each
+  // one's relation groups, one per relation whose row at the node is
+  // non-empty.
+  std::vector<RelationCsr> rows(num_relations_);
+  for (LinkTypeId r = 0; r < num_relations_; ++r) {
+    rows[r] = network_->OutCsr(r);
+  }
   std::vector<NodeId> stat_nodes;
   node_group_offsets_.push_back(0);
   size_t total_groups = 0;
   for (NodeId v = 0; v < network_->num_nodes(); ++v) {
-    auto links = network_->OutLinks(v);
-    if (links.empty()) continue;
-    size_t groups = 1;
-    for (size_t i = 1; i < links.size(); ++i) {
-      GENCLUS_DCHECK(links[i - 1].type <= links[i].type);
-      if (links[i].type != links[i - 1].type) ++groups;
+    size_t groups = 0;
+    for (const RelationCsr& csr : rows) {
+      if (csr.row_offsets[v + 1] != csr.row_offsets[v]) ++groups;
     }
+    if (groups == 0) continue;
     stat_nodes.push_back(v);
     total_groups += groups;
     node_group_offsets_.push_back(total_groups);
   }
 
-  // Pass 2 (parallel, O(|E| K)): fill the flat arenas. Each node writes
-  // only its own group range, so shards never overlap and the result is
-  // independent of the sharding.
+  // Pass 2 (parallel, O(|E| K)): fill the flat arenas, walking each
+  // node's relation rows in relation order. Each node writes only its own
+  // group range, so shards never overlap and the result is independent of
+  // the sharding.
   group_relation_.assign(total_groups, kInvalidLinkType);
   group_weight_.assign(total_groups, 0.0);
   group_f_coeff_.assign(total_groups, 0.0);
@@ -64,26 +65,26 @@ StrengthLearner::StrengthLearner(const Network* network, const Matrix* theta,
     std::vector<double> log_theta_v(num_clusters_);
     for (size_t i = begin; i < end; ++i) {
       const NodeId v = stat_nodes[i];
-      auto links = network_->OutLinks(v);
       // CrossEntropyScore's logs of theta_v, once per node, not per link.
       FlooredLogTheta({theta_->Row(v), num_clusters_}, log_theta_v);
       size_t g = node_group_offsets_[i];
-      size_t pos = 0;
-      while (pos < links.size()) {
-        const LinkTypeId r = links[pos].type;
+      for (LinkTypeId r = 0; r < num_relations_; ++r) {
+        const RelationCsr& csr = rows[r];
+        const size_t row_begin = csr.row_offsets[v];
+        const size_t row_end = csr.row_offsets[v + 1];
+        if (row_begin == row_end) continue;
         double* s = group_s_.data() + g * num_clusters_;
         double total_weight = 0.0;
         double f_coeff = 0.0;
-        while (pos < links.size() && links[pos].type == r) {
-          const LinkEntry& e = links[pos];
-          const std::span<const double> theta_u(theta_->Row(e.neighbor),
-                                                num_clusters_);
+        for (size_t j = row_begin; j < row_end; ++j) {
+          const double weight = csr.weights[j];
+          const std::span<const double> theta_u(
+              theta_->Row(csr.neighbors[j]), num_clusters_);
           for (size_t k = 0; k < num_clusters_; ++k) {
-            s[k] += e.weight * theta_u[k];
+            s[k] += weight * theta_u[k];
           }
-          total_weight += e.weight;
-          f_coeff += e.weight * CrossEntropyScoreFromLogs(log_theta_v, theta_u);
-          ++pos;
+          total_weight += weight;
+          f_coeff += weight * CrossEntropyScoreFromLogs(log_theta_v, theta_u);
         }
         group_relation_[g] = r;
         group_weight_[g] = total_weight;

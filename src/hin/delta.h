@@ -77,8 +77,7 @@ struct NetworkDelta {
 /// All-or-nothing: the whole batch is checked before anything changes, so
 /// on error `dataset` is untouched. Growing reallocates the network's
 /// arrays, so nothing may read `dataset->network` during the call, and
-/// OutLinks/InLinks spans and OutCsr views taken before it are invalid
-/// after it.
+/// OutLinks and OutCsr views taken before it are invalid after it.
 Status GrowDataset(Dataset* dataset, std::span<const NetworkDelta> deltas);
 
 /// Returns `base` grown by `delta` (a copy, then GrowDataset); `base` is

@@ -11,40 +11,45 @@ namespace genclus {
 
 namespace {
 
-// Canonical ordering within each node's adjacency range: by type then
-// neighbor.
+// Canonical order of a node's out-links: by type then neighbor.
 constexpr auto kByTypeThenNeighbor = [](const LinkEntry& a,
                                         const LinkEntry& b) {
   if (a.type != b.type) return a.type < b.type;
   return a.neighbor < b.neighbor;
 };
 
-// An adjacency entry bound for the row of `node`.
-struct RowEntry {
+// A new link bound for row `node` of one relation.
+struct RowLink {
   NodeId node;
-  LinkEntry entry;
+  NodeId neighbor;
+  double weight;
 };
 
-// Grows the CSR rows (`offsets`, `entries`) to `num_nodes` rows and merges
-// `added` into them. Each row stays in canonical order, an added entry
-// after any equal one already there. One backward pass places every
-// entry: rows without additions move as whole stretches and are never
-// re-sorted.
-void MergeIntoRows(std::vector<RowEntry> added, size_t num_nodes,
+// Grows one relation's CSR rows (`offsets`, `neighbors`, `weights`) to
+// `num_nodes` rows and merges `added`, given in delta order, into them.
+// Each row stays ascending by neighbor, an added link after any equal one
+// already there and after the equal ones added before it. One backward
+// pass places every link: rows without additions move as whole stretches,
+// and offsets shift only from the first touched row onward.
+void MergeIntoRows(std::vector<RowLink> added, size_t num_nodes,
                    std::vector<size_t>* offsets,
-                   std::vector<LinkEntry>* entries) {
-  std::stable_sort(added.begin(), added.end(),
-                   [](const RowEntry& a, const RowEntry& b) {
-                     if (a.node != b.node) return a.node < b.node;
-                     return kByTypeThenNeighbor(a.entry, b.entry);
-                   });
+                   std::vector<NodeId>* neighbors,
+                   std::vector<double>* weights) {
   std::vector<size_t>& off = *offsets;
-  std::vector<LinkEntry>& out = *entries;
-  const size_t old_links = out.size();
+  std::vector<NodeId>& nbr = *neighbors;
+  std::vector<double>& wt = *weights;
+  const size_t old_links = nbr.size();
   off.resize(num_nodes + 1, old_links);  // new rows start empty
-  out.resize(old_links + added.size());
+  if (added.empty()) return;
+  std::stable_sort(added.begin(), added.end(),
+                   [](const RowLink& a, const RowLink& b) {
+                     if (a.node != b.node) return a.node < b.node;
+                     return a.neighbor < b.neighbor;
+                   });
+  nbr.resize(old_links + added.size());
+  wt.resize(old_links + added.size());
 
-  // Old entries [0, end) are not yet in place; each belongs `a` slots
+  // Old links [0, end) are not yet in place; each belongs `a` slots
   // further on, `a` being the number of additions not yet placed.
   size_t a = added.size();
   size_t end = old_links;
@@ -52,23 +57,25 @@ void MergeIntoRows(std::vector<RowEntry> added, size_t num_nodes,
     const NodeId v = added[a - 1].node;
     const size_t row_begin = off[v];
     const size_t row_end = off[v + 1];
-    std::move_backward(out.begin() + row_end, out.begin() + end,
-                       out.begin() + end + a);
+    std::move_backward(nbr.begin() + row_end, nbr.begin() + end,
+                       nbr.begin() + end + a);
+    std::move_backward(wt.begin() + row_end, wt.begin() + end,
+                       wt.begin() + end + a);
     size_t i = row_end;
     while (a > 0 && added[a - 1].node == v) {
-      if (i > row_begin &&
-          kByTypeThenNeighbor(added[a - 1].entry, out[i - 1])) {
-        out[i - 1 + a] = out[i - 1];
+      if (i > row_begin && added[a - 1].neighbor < nbr[i - 1]) {
+        nbr[i - 1 + a] = nbr[i - 1];
+        wt[i - 1 + a] = wt[i - 1];
         --i;
       } else {
-        out[i - 1 + a] = added[a - 1].entry;
+        nbr[i - 1 + a] = added[a - 1].neighbor;
+        wt[i - 1 + a] = added[a - 1].weight;
         --a;
       }
     }
     end = i;
   }
 
-  if (added.empty()) return;
   size_t before = 0;  // additions to rows below v
   for (size_t v = added.front().node + 1; v <= num_nodes; ++v) {
     while (before < added.size() && added[before].node < v) ++before;
@@ -170,95 +177,77 @@ Result<Network> NetworkBuilder::Build() && {
     net.link_weights_by_type_[link_types_[e]] += link_weights_[e];
   }
 
-  // Counting-sort links into per-direction CSR.
-  net.out_offsets_.assign(n + 1, 0);
-  net.in_offsets_.assign(n + 1, 0);
+  // Counting-sort the links into transient out-rows, put each row in
+  // (type, neighbor) order, then split the rows into the per-relation CSR.
+  std::vector<size_t> offsets(n + 1, 0);
+  for (size_t e = 0; e < m; ++e) offsets[link_srcs_[e] + 1]++;
+  for (size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<LinkEntry> entries(m);
+  std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
   for (size_t e = 0; e < m; ++e) {
-    net.out_offsets_[link_srcs_[e] + 1]++;
-    net.in_offsets_[link_dsts_[e] + 1]++;
+    entries[cursor[link_srcs_[e]]++] = {link_dsts_[e], link_types_[e],
+                                        link_weights_[e]};
   }
+  // The builder is consumed: free its link lists before the CSR arrays
+  // are allocated.
+  link_srcs_ = std::vector<NodeId>();
+  link_dsts_ = std::vector<NodeId>();
+  link_types_ = std::vector<LinkTypeId>();
+  link_weights_ = std::vector<double>();
   for (size_t v = 0; v < n; ++v) {
-    net.out_offsets_[v + 1] += net.out_offsets_[v];
-    net.in_offsets_[v + 1] += net.in_offsets_[v];
-  }
-  net.out_entries_.resize(m);
-  net.in_entries_.resize(m);
-  std::vector<size_t> out_cursor(net.out_offsets_.begin(),
-                                 net.out_offsets_.end() - 1);
-  std::vector<size_t> in_cursor(net.in_offsets_.begin(),
-                                net.in_offsets_.end() - 1);
-  for (size_t e = 0; e < m; ++e) {
-    net.out_entries_[out_cursor[link_srcs_[e]]++] = {link_dsts_[e],
-                                                     link_types_[e],
-                                                     link_weights_[e]};
-    net.in_entries_[in_cursor[link_dsts_[e]]++] = {link_srcs_[e],
-                                                   link_types_[e],
-                                                   link_weights_[e]};
-  }
-  // Canonical ordering within each node's range: by type then neighbor.
-  for (size_t v = 0; v < n; ++v) {
-    std::sort(net.out_entries_.begin() + net.out_offsets_[v],
-              net.out_entries_.begin() + net.out_offsets_[v + 1],
-              kByTypeThenNeighbor);
-    std::sort(net.in_entries_.begin() + net.in_offsets_[v],
-              net.in_entries_.begin() + net.in_offsets_[v + 1],
+    std::sort(entries.begin() + offsets[v], entries.begin() + offsets[v + 1],
               kByTypeThenNeighbor);
   }
-  net.BuildTypedCsr();
+
+  const size_t num_relations = net.schema_.num_link_types();
+  net.relations_.resize(num_relations);
+  for (LinkTypeId r = 0; r < num_relations; ++r) {
+    Network::RelationRows& rows = net.relations_[r];
+    rows.offsets.resize(n + 1);
+    rows.offsets[0] = 0;
+    rows.neighbors.resize(net.link_counts_by_type_[r]);
+    rows.weights.resize(net.link_counts_by_type_[r]);
+  }
+  std::vector<size_t> filled(num_relations, 0);
+  for (size_t v = 0; v < n; ++v) {
+    for (size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const LinkEntry& e = entries[i];
+      Network::RelationRows& rows = net.relations_[e.type];
+      rows.neighbors[filled[e.type]] = e.neighbor;
+      rows.weights[filled[e.type]] = e.weight;
+      ++filled[e.type];
+    }
+    for (LinkTypeId r = 0; r < num_relations; ++r) {
+      net.relations_[r].offsets[v + 1] = filled[r];
+    }
+  }
   return net;
 }
 
 void Network::Append(std::vector<ObjectTypeId> node_types,
                      std::span<const NetworkDelta> deltas) {
   const size_t old_nodes = num_nodes();
-  std::vector<RowEntry> out_added;
-  std::vector<RowEntry> in_added;
+  std::vector<std::vector<RowLink>> added(relations_.size());
   for (const NetworkDelta& delta : deltas) {
     for (const DeltaNode& node : delta.nodes) {
       node_names_.push_back(node.name);
     }
     for (const DeltaLink& link : delta.links) {
-      out_added.push_back({link.src, {link.dst, link.type, link.weight}});
-      in_added.push_back({link.dst, {link.src, link.type, link.weight}});
+      added[link.type].push_back({link.src, link.dst, link.weight});
       link_counts_by_type_[link.type]++;
       link_weights_by_type_[link.type] += link.weight;
     }
   }
-  if (node_types.size() == old_nodes && out_added.empty()) return;
 
   node_types_ = std::move(node_types);
   const size_t n = node_types_.size();
   for (size_t v = old_nodes; v < n; ++v) {
     nodes_by_type_[node_types_[v]].push_back(static_cast<NodeId>(v));
   }
-  MergeIntoRows(std::move(out_added), n, &out_offsets_, &out_entries_);
-  MergeIntoRows(std::move(in_added), n, &in_offsets_, &in_entries_);
-  BuildTypedCsr();
-}
-
-void Network::BuildTypedCsr() {
-  const size_t n = num_nodes();
-  const size_t num_relations = schema_.num_link_types();
-  typed_out_offsets_.resize(num_relations);
-  typed_out_neighbors_.resize(num_relations);
-  typed_out_weights_.resize(num_relations);
-  for (LinkTypeId r = 0; r < num_relations; ++r) {
-    typed_out_offsets_[r].resize(n + 1);
-    typed_out_offsets_[r][0] = 0;
-    typed_out_neighbors_[r].resize(link_counts_by_type_[r]);
-    typed_out_weights_[r].resize(link_counts_by_type_[r]);
-  }
-  std::vector<size_t> cursor(num_relations, 0);
-  for (size_t v = 0; v < n; ++v) {
-    for (size_t i = out_offsets_[v]; i < out_offsets_[v + 1]; ++i) {
-      const LinkEntry& e = out_entries_[i];
-      typed_out_neighbors_[e.type][cursor[e.type]] = e.neighbor;
-      typed_out_weights_[e.type][cursor[e.type]] = e.weight;
-      ++cursor[e.type];
-    }
-    for (LinkTypeId r = 0; r < num_relations; ++r) {
-      typed_out_offsets_[r][v + 1] = cursor[r];
-    }
+  for (size_t r = 0; r < relations_.size(); ++r) {
+    RelationRows& rows = relations_[r];
+    MergeIntoRows(std::move(added[r]), n, &rows.offsets, &rows.neighbors,
+                  &rows.weights);
   }
 }
 
@@ -268,10 +257,13 @@ const std::vector<NodeId>& Network::NodesOfType(ObjectTypeId t) const {
 }
 
 double Network::LinkWeight(NodeId src, NodeId dst, LinkTypeId type) const {
-  for (const LinkEntry& e : OutLinks(src)) {
-    if (e.type == type && e.neighbor == dst) return e.weight;
-  }
-  return 0.0;
+  GENCLUS_DCHECK(src < num_nodes() && type < relations_.size());
+  const RelationRows& rows = relations_[type];
+  const auto row_begin = rows.neighbors.begin() + rows.offsets[src];
+  const auto row_end = rows.neighbors.begin() + rows.offsets[src + 1];
+  const auto it = std::lower_bound(row_begin, row_end, dst);
+  if (it == row_end || *it != dst) return 0.0;
+  return rows.weights[it - rows.neighbors.begin()];
 }
 
 }  // namespace genclus

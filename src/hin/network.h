@@ -1,11 +1,15 @@
-// The heterogeneous information network G = (V, E, W): typed nodes, typed
-// weighted directed links, CSR adjacency in both directions — the EM inner
-// loop scans contiguous out-link (and in-link) ranges. NetworkBuilder
-// builds one; after that the only mutator is GrowDataset (hin/delta.h),
-// which appends nodes and links in place. Every other caller sees an
-// immutable Network.
+// The heterogeneous information network G = (V, E, W): typed nodes and
+// typed weighted directed links. Links are stored once, as one out-CSR per
+// relation (W_r, row v holding v's out-links of relation r): the shape the
+// EM inner loop's SpMM scans and the only adjacency there is. GenClus reads
+// links only as typed out-neighbourhoods, so there is no in-adjacency.
+// NetworkBuilder builds one; after that the only mutator is GrowDataset
+// (hin/delta.h), which appends nodes and merges links into the relation
+// rows in place. Every other caller sees an immutable Network.
 #pragma once
 
+#include <cstddef>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -41,6 +45,67 @@ struct RelationCsr {
 class Network;
 struct Dataset;
 struct NetworkDelta;
+
+/// The out-links of one node across every relation: the node's row of each
+/// relation's CSR in turn, so links run in relation order and, within a
+/// relation, by ascending neighbor. Elements are LinkEntry values built on
+/// the fly (range-for as `const LinkEntry&` binds each to a temporary);
+/// there is no indexing. A view: valid until the network grows.
+class OutLinkView {
+ public:
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;  // yields values
+    using value_type = LinkEntry;
+    using difference_type = std::ptrdiff_t;
+
+    Iterator() = default;  // the end
+
+    LinkEntry operator*() const { return {*neighbor_, type_, *weight_}; }
+    Iterator& operator++() {
+      ++weight_;
+      if (++neighbor_ == row_end_) Seek(type_ + 1);
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++*this;
+      return before;
+    }
+    // Every position but the end addresses a distinct stored link.
+    bool operator==(const Iterator& other) const {
+      return neighbor_ == other.neighbor_;
+    }
+
+   private:
+    friend class OutLinkView;
+    Iterator(const Network* network, NodeId v) : network_(network), v_(v) {
+      Seek(0);
+    }
+    // Moves to the first link of relation `type` or a later one; to the
+    // end when there is none.
+    void Seek(LinkTypeId type);
+
+    const Network* network_ = nullptr;
+    NodeId v_ = 0;
+    LinkTypeId type_ = 0;
+    const NodeId* neighbor_ = nullptr;
+    const NodeId* row_end_ = nullptr;
+    const double* weight_ = nullptr;
+  };
+
+  OutLinkView(const Network* network, NodeId v) : network_(network), v_(v) {}
+
+  Iterator begin() const { return Iterator(network_, v_); }
+  Iterator end() const { return Iterator(); }
+  bool empty() const { return begin() == end(); }
+  size_t size() const;
+
+ private:
+  const Network* network_;
+  NodeId v_;
+};
 
 /// The rules every node and link of a Network satisfies, shared by
 /// NetworkBuilder and GrowDataset (hin/delta.h) so both accept exactly the
@@ -85,15 +150,19 @@ class NetworkBuilder {
   std::vector<double> link_weights_;
 };
 
-/// Typed directed graph with per-direction CSR adjacency; immutable except
-/// through GrowDataset.
+/// Typed directed graph whose links live in one out-CSR per relation;
+/// immutable except through GrowDataset.
 class Network {
  public:
   Network() = default;
 
   const Schema& schema() const { return schema_; }
   size_t num_nodes() const { return node_types_.size(); }
-  size_t num_links() const { return out_entries_.size(); }
+  size_t num_links() const {
+    size_t links = 0;
+    for (const RelationRows& rows : relations_) links += rows.neighbors.size();
+    return links;
+  }
 
   ObjectTypeId node_type(NodeId v) const {
     GENCLUS_DCHECK(v < node_types_.size());
@@ -107,31 +176,31 @@ class Network {
   /// All nodes of one object type, in id order.
   const std::vector<NodeId>& NodesOfType(ObjectTypeId t) const;
 
-  /// Out-links of v (v is the source), grouped contiguously; the span is
-  /// sorted by link type then neighbor.
-  std::span<const LinkEntry> OutLinks(NodeId v) const {
+  /// Out-links of v (v is the source): v's row of every relation's OutCsr,
+  /// in relation order, each row by ascending neighbor. Among parallel
+  /// links (same neighbor and relation) Build's row sort fixes the order,
+  /// and a link added by GrowDataset follows the equal ones already there.
+  OutLinkView OutLinks(NodeId v) const {
     GENCLUS_DCHECK(v < node_types_.size());
-    return {out_entries_.data() + out_offsets_[v],
-            out_offsets_[v + 1] - out_offsets_[v]};
+    return {this, v};
   }
 
-  /// In-links of v (v is the target); entry.neighbor is the source node.
-  std::span<const LinkEntry> InLinks(NodeId v) const {
+  size_t OutDegree(NodeId v) const {
     GENCLUS_DCHECK(v < node_types_.size());
-    return {in_entries_.data() + in_offsets_[v],
-            in_offsets_[v + 1] - in_offsets_[v]};
+    size_t degree = 0;
+    for (const RelationRows& rows : relations_) {
+      degree += rows.offsets[v + 1] - rows.offsets[v];
+    }
+    return degree;
   }
-
-  size_t OutDegree(NodeId v) const { return OutLinks(v).size(); }
-  size_t InDegree(NodeId v) const { return InLinks(v).size(); }
 
   /// Out-adjacency of one relation as a CSR matrix over all nodes. The
-  /// arrays are materialized at Build time, so the view costs nothing to
+  /// arrays are the network's link store, so the view costs nothing to
   /// obtain; it stays valid until the network grows.
   RelationCsr OutCsr(LinkTypeId r) const {
-    GENCLUS_DCHECK(r < typed_out_offsets_.size());
-    return {typed_out_offsets_[r], typed_out_neighbors_[r],
-            typed_out_weights_[r]};
+    GENCLUS_DCHECK(r < relations_.size());
+    const RelationRows& rows = relations_[r];
+    return {rows.offsets, rows.neighbors, rows.weights};
   }
 
   /// Number of links of each relation across the whole network.
@@ -144,7 +213,8 @@ class Network {
     return link_weights_by_type_;
   }
 
-  /// Weight of the src -> dst link of relation `type`; 0 when absent.
+  /// Weight of the src -> dst link of relation `type`; 0 when absent, the
+  /// first in OutLinks order when there are parallel links.
   double LinkWeight(NodeId src, NodeId dst, LinkTypeId type) const;
 
  private:
@@ -152,35 +222,47 @@ class Network {
   friend Status GrowDataset(Dataset* dataset,
                             std::span<const NetworkDelta> deltas);
 
+  // One relation's out-adjacency: row v spans [offsets[v], offsets[v + 1])
+  // of `neighbors`/`weights`, neighbors ascending. See OutCsr.
+  struct RelationRows {
+    std::vector<size_t> offsets;  // num_nodes + 1
+    std::vector<NodeId> neighbors;
+    std::vector<double> weights;
+  };
+
   // GrowDataset's commit step: appends the nodes and links of `deltas`,
   // already checked against `node_types` (the grown node set's types).
-  // New out- and in-entries are merged into their sorted rows; every other
-  // row only moves.
+  // Each relation's new links are merged into its rows in place.
   void Append(std::vector<ObjectTypeId> node_types,
               std::span<const NetworkDelta> deltas);
-
-  // Splits the sorted out-link rows into the per-relation CSR of OutCsr.
-  // Needs link_counts_by_type_.
-  void BuildTypedCsr();
 
   Schema schema_;
   std::vector<ObjectTypeId> node_types_;
   std::vector<std::string> node_names_;
   std::vector<std::vector<NodeId>> nodes_by_type_;
 
-  std::vector<size_t> out_offsets_;  // size num_nodes + 1
-  std::vector<LinkEntry> out_entries_;
-  std::vector<size_t> in_offsets_;
-  std::vector<LinkEntry> in_entries_;
-
-  // Per-relation SoA out-adjacency (indexed by link type), mirroring
-  // out_entries_ grouped by relation; see OutCsr.
-  std::vector<std::vector<size_t>> typed_out_offsets_;
-  std::vector<std::vector<NodeId>> typed_out_neighbors_;
-  std::vector<std::vector<double>> typed_out_weights_;
+  std::vector<RelationRows> relations_;  // indexed by link type
 
   std::vector<size_t> link_counts_by_type_;
   std::vector<double> link_weights_by_type_;
 };
+
+inline void OutLinkView::Iterator::Seek(LinkTypeId type) {
+  const size_t num_relations = network_->schema().num_link_types();
+  for (type_ = type; type_ < num_relations; ++type_) {
+    const RelationCsr csr = network_->OutCsr(type_);
+    const size_t begin = csr.row_offsets[v_];
+    const size_t end = csr.row_offsets[v_ + 1];
+    if (begin != end) {
+      neighbor_ = csr.neighbors.data() + begin;
+      row_end_ = csr.neighbors.data() + end;
+      weight_ = csr.weights.data() + begin;
+      return;
+    }
+  }
+  neighbor_ = nullptr;
+}
+
+inline size_t OutLinkView::size() const { return network_->OutDegree(v_); }
 
 }  // namespace genclus

@@ -3,11 +3,12 @@
 // The EM cluster-optimization E-step's link term (Eqs. 10-12) is a sum of
 // γ_r-weighted products W_r Θ, one per relation r, where W_r is the
 // relation's out-adjacency in CSR form. Expressing it this way replaces
-// the per-link AoS gather (LinkEntry.type lookup into gamma inside the
-// innermost loop) with contiguous neighbor-id/weight arrays and a tight
-// K-wide inner loop the compiler can vectorize — each output entry
-// out[v][k] is independent across k, so vectorizing never reorders a
-// floating-point reduction and the result is identical to the scalar loop.
+// the per-link gather over each node's OutLinks (LinkEntry.type lookup
+// into gamma inside the innermost loop) with contiguous neighbor-id/weight
+// arrays and a tight K-wide inner loop the compiler can vectorize — each
+// output entry out[v][k] is independent across k, so vectorizing never
+// reorders a floating-point reduction and the result is identical to the
+// scalar loop.
 #pragma once
 
 #include <cstddef>

@@ -13,9 +13,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "core/engine.h"
@@ -234,6 +236,127 @@ TEST(ModelIoBinaryTest, LoadRejectsClusterCountPastTheFile) {
   auto loaded = LoadModelBinary(file.path());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
+TEST(ModelIoBinaryTest, LoadRefusesADirectory) {
+  // A directory opens for reading, but has no length to size a buffer
+  // from: a clean IoError, never an exception.
+  const std::string dir = TempPath("genclus_model_dir");
+  std::filesystem::create_directories(dir);
+  try {
+    auto loaded = LoadModelBinary(dir);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "LoadModelBinary threw '" << e.what() << "'";
+  }
+  std::filesystem::remove(dir);
+}
+
+// K = 2, a categorical attribute; every stored double is distinct, so an
+// edit can find its one occurrence in the saved file.
+Model MakeSimplexModel() {
+  Model model;
+  model.theta = Matrix(3, 2);
+  const double first[] = {0.2, 0.35, 0.9};
+  for (size_t v = 0; v < 3; ++v) {
+    model.theta(v, 0) = first[v];
+    model.theta(v, 1) = 1.0 - first[v];
+  }
+  model.gamma = {1.5, 2.5};
+  model.link_types = {"ab", "ba"};
+  model.attributes.push_back({"text", AttributeKind::kCategorical, 3});
+  AttributeComponents text = AttributeComponents::CategoricalUniform(2, 3);
+  Matrix& beta = *text.mutable_beta();
+  beta(0, 0) = 0.15;
+  beta(0, 1) = 0.25;
+  beta(0, 2) = 0.6;
+  model.components.push_back(std::move(text));
+  EXPECT_TRUE(model.Validate().ok());
+  return model;
+}
+
+// One way to knock a Θ or β row off the simplex: the stored doubles
+// `from` become `to`, in the model and in its saved file alike.
+struct SimplexEdit {
+  const char* name;
+  std::vector<double> from;
+  std::vector<double> to;
+};
+
+std::vector<SimplexEdit> SimplexEdits() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {
+      {"theta row summing to 1.5", {0.35}, {0.85}},
+      {"negative theta entry", {0.35, 1.0 - 0.35}, {-0.25, 1.25}},
+      {"beta row holding a NaN", {0.25}, {nan}},
+      {"beta row summing to 0.9", {0.15}, {0.05}},
+  };
+}
+
+// Replaces every stored double equal to from[i] by to[i].
+void ApplyToModel(const SimplexEdit& edit, Model* model) {
+  auto replace = [&](double& x) {
+    for (size_t i = 0; i < edit.from.size(); ++i) {
+      if (x == edit.from[i]) x = edit.to[i];
+    }
+  };
+  for (double& x : model->theta.data()) replace(x);
+  for (double& x : model->components[0].mutable_beta()->data()) replace(x);
+}
+
+// The same edit on a saved file image; each `from` occurs exactly once.
+void ApplyToFile(const SimplexEdit& edit, std::string* bytes) {
+  for (size_t i = 0; i < edit.from.size(); ++i) {
+    const std::string from(reinterpret_cast<const char*>(&edit.from[i]),
+                           sizeof(double));
+    const size_t at = bytes->find(from);
+    ASSERT_NE(at, std::string::npos) << edit.name;
+    ASSERT_EQ(bytes->find(from, at + 1), std::string::npos) << edit.name;
+    bytes->replace(at, sizeof(double),
+                   reinterpret_cast<const char*>(&edit.to[i]),
+                   sizeof(double));
+  }
+}
+
+// `bytes` with the header's payload checksum recomputed (FNV-1a 64 of
+// everything after the 64-byte header, stored at byte 24).
+std::string RestampChecksum(std::string bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (size_t i = 64; i < bytes.size(); ++i) {
+    hash ^= static_cast<uint8_t>(bytes[i]);
+    hash *= 1099511628211ull;
+  }
+  bytes.replace(24, sizeof(hash), reinterpret_cast<const char*>(&hash),
+                sizeof(hash));
+  return bytes;
+}
+
+TEST(ModelValidateTest, RefusesRowsOffTheSimplex) {
+  for (const SimplexEdit& edit : SimplexEdits()) {
+    SCOPED_TRACE(edit.name);
+    Model model = MakeSimplexModel();
+    ApplyToModel(edit, &model);
+    const Status valid = model.Validate();
+    EXPECT_EQ(valid.code(), StatusCode::kInvalidArgument) << valid.ToString();
+  }
+}
+
+TEST(ModelIoBinaryTest, LoadRefusesRowsOffTheSimplex) {
+  ScopedFile file(TempPath("genclus_model_simplex.bin"));
+  ASSERT_TRUE(SaveModelBinary(MakeSimplexModel(), file.path()).ok());
+  const std::string good = ReadFileBytes(file.path());
+  ASSERT_EQ(RestampChecksum(good), good);
+  for (const SimplexEdit& edit : SimplexEdits()) {
+    SCOPED_TRACE(edit.name);
+    std::string bytes = good;
+    ApplyToFile(edit, &bytes);
+    WriteFileBytes(file.path(), RestampChecksum(std::move(bytes)));
+    auto loaded = LoadModelBinary(file.path());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
 }
 
 TEST(ModelIoBinaryTest, FingerprintMatchesContainerChecksum) {

@@ -41,7 +41,7 @@ TwoCommunityNetwork MakeTwoCommunityNetwork(size_t docs_per_side,
 GenClusConfig PlantedFixtureConfig(uint64_t seed);
 
 /// Expects two datasets structurally equal: node types and names, every
-/// node's out- and in-links (order included), every relation's OutCsr,
+/// node's out-links (order included), every relation's OutCsr,
 /// NodesOfType, LinkCountsByType, attribute observations and labels.
 /// LinkWeightsByType is compared to double precision only: a grown
 /// network sums each relation's weights in another order than a fresh
