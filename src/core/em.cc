@@ -569,22 +569,33 @@ EmStats EmOptimizer::Run(const std::vector<double>& gamma, Matrix* theta,
 }
 
 void EmOptimizer::EstimateComponents(
-    const Matrix& theta, std::vector<AttributeComponents>* components) const {
+    const Matrix& theta, std::vector<AttributeComponents>* components,
+    EmComponentSums* sums) const {
   const size_t num_clusters = config_->num_clusters;
+  const size_t n = network_->num_nodes();
   GENCLUS_CHECK(components != nullptr);
   GENCLUS_CHECK_EQ(components->size(), attributes_.size());
+  GENCLUS_CHECK_EQ(theta.rows(), n);
+  GENCLUS_CHECK_EQ(theta.cols(), num_clusters);
+  EmComponentSums empty;
+  if (sums == nullptr) sums = &empty;
+  if (sums->rows == 0) {
+    sums->attributes = ZeroAccumulators(attributes_, num_clusters);
+  }
+  GENCLUS_CHECK_LE(sums->rows, n);
+  GENCLUS_CHECK_EQ(sums->attributes.size(), attributes_.size());
 
   // Each node's theta row stands in for the responsibilities of its
   // observations; the M-step itself is UpdateComponents' rule, so the
   // initial component estimate and the EM updates are interchangeable.
-  auto acc = ZeroAccumulators(attributes_, num_clusters);
   for (size_t t = 0; t < attributes_.size(); ++t) {
     const Attribute& attr = *attributes_[t];
-    EmComponentAccumulator& a = acc[t];
+    EmComponentAccumulator& a = sums->attributes[t];
     if (attr.kind() == AttributeKind::kCategorical) {
       const size_t vocab = attr.vocab_size();
+      GENCLUS_CHECK_EQ(a.counts.size(), num_clusters * vocab);
       double* counts = a.counts.data();
-      for (NodeId v = 0; v < attr.num_nodes(); ++v) {
+      for (NodeId v = static_cast<NodeId>(sums->rows); v < n; ++v) {
         const double* theta_v = theta.Row(v);
         for (const TermCount& tc : attr.TermCounts(v)) {
           for (size_t k = 0; k < num_clusters; ++k) {
@@ -593,7 +604,8 @@ void EmOptimizer::EstimateComponents(
         }
       }
     } else {
-      for (NodeId v = 0; v < attr.num_nodes(); ++v) {
+      GENCLUS_CHECK_EQ(a.weight_sum.size(), num_clusters);
+      for (NodeId v = static_cast<NodeId>(sums->rows); v < n; ++v) {
         const double* theta_v = theta.Row(v);
         for (double x : attr.Values(v)) {
           for (size_t k = 0; k < num_clusters; ++k) {
@@ -605,7 +617,8 @@ void EmOptimizer::EstimateComponents(
       }
     }
   }
-  UpdateComponents(acc, components);
+  sums->rows = n;
+  UpdateComponents(sums->attributes, components);
 }
 
 }  // namespace genclus

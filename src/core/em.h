@@ -67,6 +67,13 @@ struct EmComponentAccumulator {
   std::vector<double> square_sum;
 };
 
+/// EstimateComponents' M-step sums over theta rows [0, rows), one
+/// accumulator per attribute; empty (rows == 0) before the first call.
+struct EmComponentSums {
+  size_t rows = 0;
+  std::vector<EmComponentAccumulator> attributes;
+};
+
 /// Reusable scratch state for the EM sweep: the new-Theta buffer,
 /// per-block component accumulators and reduction partials, per-block
 /// responsibility/log-theta scratch, the term-major beta transposes and
@@ -153,11 +160,17 @@ class EmOptimizer {
   double ReferenceStep(const std::vector<double>& gamma, Matrix* theta,
                        std::vector<AttributeComponents>* components) const;
 
-  /// Re-estimates components from scratch treating `theta` rows as
-  /// observation responsibilities, through the EM M-step's own rule
-  /// (used by initialization and ApplyUpdates' component refresh).
+  /// Re-estimates components treating `theta` rows as observation
+  /// responsibilities, through the EM M-step's own rule (used by
+  /// initialization and ApplyUpdates' component refresh). Adds the
+  /// observations of rows [sums->rows, num_nodes) to `sums` in node order,
+  /// then writes the components from them; without `sums` it starts from
+  /// empty sums. Sums kept from an earlier call therefore give bit for bit
+  /// what one call over all rows gives, provided the attributes and the
+  /// theta rows those sums read are unchanged.
   void EstimateComponents(const Matrix& theta,
-                          std::vector<AttributeComponents>* components) const;
+                          std::vector<AttributeComponents>* components,
+                          EmComponentSums* sums = nullptr) const;
 
  private:
   // The blocked sweep body Step dispatches on K: per block, the link

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,9 +30,30 @@ struct ModelAttributeInfo {
   size_t vocab_size = 0;
 };
 
-/// Self-contained trained clustering model. Plain data: copy, move and
-/// serialize freely. Invariants are checked by Validate(), compatibility
-/// with a serving network by ValidateAgainst().
+/// What ApplyUpdates (core/update.h) keeps in a model between calls so
+/// that its component refresh can resume: the M-step sums of the last
+/// refresh and the inputs they read. Opaque outside core/update.cc, which
+/// defines it. Copies are deep, so two models never share it.
+class RefreshCache {
+ public:
+  RefreshCache() noexcept;
+  ~RefreshCache();
+  RefreshCache(const RefreshCache& other);
+  RefreshCache& operator=(const RefreshCache& other);
+  RefreshCache(RefreshCache&& other) noexcept;
+  RefreshCache& operator=(RefreshCache&& other) noexcept;
+
+ private:
+  friend class ComponentRefresh;
+  struct State;
+  std::unique_ptr<State> state_;
+};
+
+/// Self-contained trained clustering model. Plain data apart from
+/// `refresh_cache`: copy, move and serialize freely. A copy carries its own
+/// copy of the cache; SaveModelBinary drops it, so a loaded model, like a
+/// fitted or refitted one, starts without. Invariants are checked by
+/// Validate(), compatibility with a serving network by ValidateAgainst().
 struct Model {
   /// Soft clustering: row v is theta_v on the K-simplex.
   Matrix theta;
@@ -53,6 +75,9 @@ struct Model {
   /// every dense accessor is unchanged and 1 shard ≡ the monolithic
   /// layout. Stamped by Engine::Fit, persisted in the model file.
   size_t theta_shards = 1;
+  /// ApplyUpdates' kept component sums; never saved, validated or
+  /// fingerprinted.
+  RefreshCache refresh_cache;
 
   size_t num_clusters() const { return theta.cols(); }
   size_t num_nodes() const { return theta.rows(); }

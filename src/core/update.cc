@@ -1,6 +1,9 @@
 #include "core/update.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -84,6 +87,35 @@ Status CheckModelMatchesDataset(const Model& model, const Dataset& dataset) {
   return Status::OK();
 }
 
+// The ids of `model`'s attributes in `dataset`, in model order
+// (CheckModelMatchesDataset has found every name).
+std::vector<AttributeId> ModelAttributeIds(const Model& model,
+                                           const Dataset& dataset) {
+  std::vector<AttributeId> ids;
+  ids.reserve(model.attributes.size());
+  for (const ModelAttributeInfo& info : model.attributes) {
+    ids.push_back(dataset.FindAttribute(info.name));
+  }
+  return ids;
+}
+
+// Whether any of `rows` below old_nodes — the old rows a call re-solves —
+// carries an observation of one of `attrs`: then the call changes what
+// the refresh's kept sums read.
+bool ResolvesObservedRow(std::span<const NodeId> rows, size_t old_nodes,
+                         const std::vector<const Attribute*>& attrs) {
+  for (NodeId v : rows) {
+    if (v >= old_nodes) break;
+    for (const Attribute* attr : attrs) {
+      if (attr->HasObservations(v)) return true;
+    }
+  }
+  return false;
+}
+
+// Process-unique attribute stamps; 0 is never handed out.
+std::atomic<uint64_t> next_attribute_stamp{0};
+
 std::vector<std::string> ModelAttributeNames(const Model& model) {
   std::vector<std::string> names;
   names.reserve(model.attributes.size());
@@ -94,6 +126,112 @@ std::vector<std::string> ModelAttributeNames(const Model& model) {
 }
 
 }  // namespace
+
+struct RefreshCache::State {
+  // EstimateComponents' sums over Theta rows [0, sums.rows).
+  EmComponentSums sums;
+  // The Theta rows those sums read.
+  Matrix theta;
+  // The stamp each model attribute got when the sums were taken.
+  std::vector<uint64_t> stamps;
+};
+
+RefreshCache::RefreshCache() noexcept = default;
+RefreshCache::~RefreshCache() = default;
+RefreshCache::RefreshCache(const RefreshCache& other)
+    : state_(other.state_ ? std::make_unique<State>(*other.state_)
+                          : nullptr) {}
+RefreshCache& RefreshCache::operator=(const RefreshCache& other) {
+  if (this != &other) {
+    state_ = other.state_ ? std::make_unique<State>(*other.state_) : nullptr;
+  }
+  return *this;
+}
+RefreshCache::RefreshCache(RefreshCache&& other) noexcept = default;
+RefreshCache& RefreshCache::operator=(RefreshCache&& other) noexcept =
+    default;
+
+// ApplyUpdates' component refresh and the state it keeps between calls:
+// a model's RefreshCache and its attributes' stamps, which both classes
+// let this one read and write.
+class ComponentRefresh {
+ public:
+  // Whether `model` kept sums over all of its rows, taken from these
+  // attributes as they are now: each still carries the stamp the sums
+  // were taken under. Read before GrowDataset, which clears every stamp.
+  static bool AttributesUnchanged(const Model& model,
+                                  const std::vector<const Attribute*>& attrs) {
+    const RefreshCache::State* kept = model.refresh_cache.state_.get();
+    if (kept == nullptr || kept->sums.rows != model.num_nodes() ||
+        kept->stamps.size() != attrs.size()) {
+      return false;
+    }
+    for (size_t a = 0; a < attrs.size(); ++a) {
+      if (attrs[a]->stamp_ != kept->stamps[a]) return false;
+    }
+    return true;
+  }
+
+  // Whether rows [0, old_nodes) of model.theta are bitwise the rows the
+  // kept sums read. Requires AttributesUnchanged on entry.
+  static bool ThetaUnchanged(const Model& model, size_t old_nodes) {
+    const Matrix& kept = model.refresh_cache.state_->theta;
+    return kept.rows() == old_nodes && kept.cols() == model.num_clusters() &&
+           (old_nodes == 0 ||
+            std::memcmp(kept.data().data(), model.theta.data().data(),
+                        old_nodes * kept.cols() * sizeof(double)) == 0);
+  }
+
+  // Re-estimates model->components from model->theta through
+  // EstimateComponents: from the kept sums when `resume`, else from empty
+  // ones. When `keep`, keeps the new sums, the Theta rows they read (when
+  // resuming, only the re-solved `rows` change) and fresh stamps on the
+  // model's attributes; otherwise drops any kept state. Returns the
+  // number of rows whose observations it read.
+  static size_t Refresh(Dataset* dataset, Model* model,
+                        const std::vector<AttributeId>& ids,
+                        const std::vector<const Attribute*>& attrs,
+                        std::span<const NodeId> rows, bool resume,
+                        bool keep) {
+    std::unique_ptr<RefreshCache::State>& kept = model->refresh_cache.state_;
+    const size_t n = model->num_nodes();
+    if (!keep) {
+      kept.reset();
+    } else if (resume) {
+      Matrix& theta = kept->theta;
+      theta.AppendRows(n - theta.rows(), 0.0);
+      for (NodeId v : rows) {
+        std::copy_n(model->theta.Row(v), theta.cols(), theta.Row(v));
+      }
+    } else {
+      if (kept == nullptr) kept = std::make_unique<RefreshCache::State>();
+      kept->sums.rows = 0;
+      // Mirrors Theta's capacity, so the rows later resumed calls append
+      // reallocate the copy no more often than Theta itself.
+      kept->theta.data().reserve(model->theta.data().capacity());
+      kept->theta = model->theta;
+    }
+    GenClusConfig config;
+    config.num_clusters = model->num_clusters();
+    EmOptimizer optimizer(&dataset->network, attrs, &config, nullptr);
+    if (kept == nullptr) {
+      optimizer.EstimateComponents(model->theta, &model->components);
+      return n;
+    }
+    const size_t summed = kept->sums.rows;
+    optimizer.EstimateComponents(model->theta, &model->components,
+                                 &kept->sums);
+    kept->stamps.clear();
+    for (AttributeId id : ids) {
+      const uint64_t stamp = next_attribute_stamp.fetch_add(1) + 1;
+      dataset->attributes[id].stamp_ = stamp;
+      kept->stamps.push_back(stamp);
+    }
+    return n - summed;
+  }
+
+  static void Drop(Model* model) { model->refresh_cache.state_.reset(); }
+};
 
 Result<FitResult> Engine::Refit(const Dataset& dataset,
                                 const Model& prev_model,
@@ -163,6 +301,14 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
         "streaming updates", model->num_nodes(), old_nodes));
   }
 
+  // Growth never adds or removes attributes, so these stay valid.
+  const std::vector<AttributeId> ids = ModelAttributeIds(*model, *dataset);
+  std::vector<const Attribute*> attrs;
+  attrs.reserve(ids.size());
+  for (AttributeId id : ids) attrs.push_back(&dataset->attributes[id]);
+  const bool attributes_unchanged =
+      ComponentRefresh::AttributesUnchanged(*model, attrs);
+
   WallTimer timer;
   UpdateReport report;
   // Grows the caller's dataset in place; GrowDataset checks every delta
@@ -187,14 +333,15 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
     if (touched[v]) rows.push_back(static_cast<NodeId>(v));
   }
   report.touched_nodes = rows.size();
-
-  std::vector<const Attribute*> attrs;
-  attrs.reserve(model->attributes.size());
-  for (const ModelAttributeInfo& info : model->attributes) {
-    // CheckModelMatchesDataset validated the name on the base dataset and
-    // growth never removes attributes.
-    attrs.push_back(&dataset->attributes[dataset->FindAttribute(info.name)]);
-  }
+  // A call that re-solves an old row with observations changes what kept
+  // sums read, so it cannot resume. It keeps no sums either: a stream
+  // whose deltas all do so (new sensors re-solving observed neighbours)
+  // then never pays for copying Theta. Decided before the Jacobi rounds
+  // overwrite the re-solved rows.
+  const bool refresh = options.refresh_components && !attrs.empty();
+  const bool keep = refresh && !ResolvesObservedRow(rows, old_nodes, attrs);
+  const bool resume = keep && attributes_unchanged &&
+                      ComponentRefresh::ThetaUnchanged(*model, old_nodes);
 
   // Grow Theta: survivors keep their rows, new nodes start uniform and
   // are solved by the Jacobi rounds below (every new node is touched).
@@ -226,11 +373,11 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
     }
   }
 
-  if (options.refresh_components && !attrs.empty()) {
-    GenClusConfig config;
-    config.num_clusters = num_clusters;
-    EmOptimizer optimizer(&dataset->network, attrs, &config, nullptr);
-    optimizer.EstimateComponents(model->theta, &model->components);
+  if (refresh) {
+    report.refreshed_rows = ComponentRefresh::Refresh(
+        dataset, model, ids, attrs, rows, resume, keep);
+  } else {
+    ComponentRefresh::Drop(model);
   }
 
   report.seconds = timer.Seconds();

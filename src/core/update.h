@@ -9,8 +9,10 @@
 //     re-solved by the serving fold-in — BatchPlanner + InferSession
 //     (core/inference.h) with the ServeDefaults sweep count and floor —
 //     over the node's out-links and observations, in a few Jacobi rounds;
-//     components are optionally re-estimated from the updated Theta. No
-//     EM sweeps over the full network.
+//     components are optionally re-estimated from the updated Theta,
+//     resuming from the M-step sums the model kept from its last refresh
+//     when only new rows carry changed observations. No EM sweeps over
+//     the full network.
 //
 //   * Engine::Refit (declared in core/engine.h, defined here) — nightly:
 //     a full Algorithm 1 run on the grown dataset, warm-started from the
@@ -54,8 +56,22 @@ struct UpdateOptions {
   /// the result is independent of iteration order and deterministic. >= 1.
   size_t rounds = 2;
   /// Re-estimate beta and the Gaussians from the updated Theta after the
-  /// rows settle (one pass over all observations). When false, components
-  /// are carried unchanged — cheaper, and fine for small deltas.
+  /// rows settle, through EmOptimizer::EstimateComponents. The refresh
+  /// resumes from the sums the model kept from its last refresh, reading
+  /// only the appended rows' observations, when all of these hold:
+  ///   * the kept sums cover exactly the rows the model had on entry;
+  ///   * no model attribute changed since that refresh (each carries the
+  ///     stamp it gave them; every Attribute mutator clears it);
+  ///   * those Theta rows are bitwise what the sums read;
+  ///   * no re-solved old row carries an observation of a model
+  ///     attribute (in an ACP network the authors and conferences a new
+  ///     paper re-solves carry no text).
+  /// Otherwise it is one pass over all observations. Either way beta and
+  /// the Gaussians are bit for bit those of the full pass. A call that
+  /// re-solves an old row with observations keeps no sums, so a stream
+  /// whose deltas always do so pays nothing for sums it cannot use; the
+  /// next call that does not starts keeping them again. When false,
+  /// components are carried unchanged and the kept sums are dropped.
   bool refresh_components = true;
 };
 
@@ -68,6 +84,9 @@ struct UpdateReport {
   /// Distinct nodes whose Theta rows were re-solved (new nodes, sources
   /// of new links, nodes with new observations).
   size_t touched_nodes = 0;
+  /// Rows whose observations the component refresh read: every row on a
+  /// full pass, the appended rows when it resumed, 0 without a refresh.
+  size_t refreshed_rows = 0;
   double seconds = 0.0;
 };
 

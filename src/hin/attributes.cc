@@ -61,6 +61,11 @@ Status Attribute::CheckTermCount(NodeId v, uint32_t term, double count,
         StrFormat("attribute '%s': term count must be positive finite",
                   name_.c_str()));
   }
+  if (count > kMaxObservationMagnitude) {
+    return Status::InvalidArgument(
+        StrFormat("attribute '%s': term count %g exceeds %g", name_.c_str(),
+                  count, kMaxObservationMagnitude));
+  }
   return Status::OK();
 }
 
@@ -78,11 +83,17 @@ Status Attribute::CheckValue(NodeId v, double value, size_t num_nodes) const {
     return Status::InvalidArgument(StrFormat(
         "attribute '%s': value must be finite", name_.c_str()));
   }
+  if (std::abs(value) > kMaxObservationMagnitude) {
+    return Status::InvalidArgument(
+        StrFormat("attribute '%s': value %g exceeds %g in magnitude",
+                  name_.c_str(), value, kMaxObservationMagnitude));
+  }
   return Status::OK();
 }
 
 Status Attribute::AddTermCount(NodeId v, uint32_t term, double count) {
   GENCLUS_RETURN_IF_ERROR(CheckTermCount(v, term, count, num_nodes_));
+  stamp_ = 0;
   for (TermCount& tc : term_counts_[v]) {
     if (tc.term == term) {
       tc.count += count;
@@ -95,12 +106,14 @@ Status Attribute::AddTermCount(NodeId v, uint32_t term, double count) {
 
 Status Attribute::AddValue(NodeId v, double value) {
   GENCLUS_RETURN_IF_ERROR(CheckValue(v, value, num_nodes_));
+  stamp_ = 0;
   values_[v].push_back(value);
   return Status::OK();
 }
 
 void Attribute::Grow(size_t num_nodes) {
   GENCLUS_CHECK_GE(num_nodes, num_nodes_);
+  stamp_ = 0;
   num_nodes_ = num_nodes;
   if (kind_ == AttributeKind::kCategorical) {
     term_counts_.resize(num_nodes_);
@@ -150,6 +163,7 @@ size_t Attribute::NumObservedNodes() const {
 void Attribute::SetTermNames(std::vector<std::string> names) {
   GENCLUS_CHECK(kind_ == AttributeKind::kCategorical);
   GENCLUS_CHECK_EQ(names.size(), vocab_size_);
+  stamp_ = 0;
   term_names_ = std::move(names);
 }
 

@@ -21,6 +21,11 @@ enum class AttributeKind {
   kNumerical,
 };
 
+/// Largest term count and largest value magnitude an attribute accepts.
+/// Every M-step sum over up to 2^64 such observations (counts, values and
+/// squared values times responsibilities <= 1) stays finite.
+inline constexpr double kMaxObservationMagnitude = 1e100;
+
 /// One sparse term-count entry of a categorical observation bag.
 struct TermCount {
   uint32_t term;
@@ -56,7 +61,8 @@ class Attribute {
 
   /// The checks of AddTermCount and AddValue, for an attribute spanning
   /// `num_nodes` nodes: GrowDataset (hin/delta.h) vets observations on
-  /// nodes the attribute has yet to grow to.
+  /// nodes the attribute has yet to grow to. A count must be positive and
+  /// a value finite, each at most kMaxObservationMagnitude in magnitude.
   Status CheckTermCount(NodeId v, uint32_t term, double count,
                         size_t num_nodes) const;
   Status CheckValue(NodeId v, double value, size_t num_nodes) const;
@@ -97,6 +103,11 @@ class Attribute {
   std::vector<std::vector<TermCount>> term_counts_;
   std::vector<std::vector<double>> values_;
   std::vector<std::string> term_names_;
+  // Content stamp for ApplyUpdates' kept component sums (core/update.cc):
+  // 0 = none. Every mutator resets it with a plain store; only
+  // ApplyUpdates sets a fresh process-unique one, after growing.
+  friend class ComponentRefresh;
+  uint64_t stamp_ = 0;
 };
 
 }  // namespace genclus

@@ -6,8 +6,9 @@
 //     another object type;
 //   * unknown link, object and attribute ids, and every valid one (which
 //     contradicts the schema's endpoint types or the attribute's kind);
-//   * weights and counts 0, -1, NaN, +-inf and a subnormal; terms past
-//     the vocabulary; NaN and infinite values;
+//   * weights and counts 0, -1, NaN, +-inf and a subnormal, counts of
+//     DBL_MAX too; terms past the vocabulary; NaN, infinite and huge
+//     values (1e160, whose square overflows, and +-DBL_MAX);
 //   * node_labels of the wrong length.
 // Every mutant goes through GrowDataset and through ApplyUpdates, each on
 // a fresh copy of the base dataset and its fitted model. Both calls must
@@ -213,14 +214,17 @@ class DeltaFuzzTest : public ::testing::Test {
                   (*b)[d].observations[i].term = term;
                 });
           }
-          for (double count : bad_numbers) {
+          std::vector<double> counts = bad_numbers;
+          counts.push_back(std::numeric_limits<double>::max());
+          for (double count : counts) {
             add(StrFormat("delta %zu observation %zu count %g", d, i, count),
                 [=](std::vector<NetworkDelta>* b) {
                   (*b)[d].observations[i].count = count;
                 });
           }
         } else {
-          for (double value : {nan, inf, -inf}) {
+          const double max = std::numeric_limits<double>::max();
+          for (double value : {nan, inf, -inf, 1e160, max, -max}) {
             add(StrFormat("delta %zu observation %zu value %g", d, i, value),
                 [=](std::vector<NetworkDelta>* b) {
                   (*b)[d].observations[i].value = value;

@@ -15,6 +15,14 @@
 //     that node's out-links and observations — on a hand-built network
 //     where relation order and target order round differently, and on
 //     fitted networks with categorical and numerical observations;
+//   * the component refresh resumes from the model's kept M-step sums
+//     exactly when only appended rows carry changed observations (one-
+//     paper deltas on ACP), runs the full pass otherwise (re-solved
+//     sensors with readings; an edited Theta row or attribute, another
+//     dataset of the same size, a call without refresh, a binary round
+//     trip), keeps no sums after re-solving an observed row, keeps
+//     resuming past a refused delta, and always leaves the components
+//     bit for bit those of a cold pass;
 //   * both paths validate their inputs (shrunk dataset, node-count
 //     mismatch, bad options, a previous model of another attribute
 //     shape), and ApplyUpdates is all-or-nothing: a failing delta — for
@@ -24,12 +32,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/em.h"
 #include "core/engine.h"
+#include "core/model_io.h"
+#include "datagen/dblp_generator.h"
 #include "datagen/weather_generator.h"
 #include "eval/nmi.h"
 #include "hin/delta.h"
@@ -515,6 +529,282 @@ TEST_F(UpdateTest, ApplyUpdatesIsAllOrNothing) {
   EXPECT_EQ(dataset.network.num_nodes(),
             full_->dataset.network.num_nodes());
   EXPECT_EQ(model.num_nodes(), dataset.network.num_nodes());
+}
+
+// ---------------------------------------------------------------------
+// The component refresh resumes from the M-step sums the model kept.
+
+// One delta per node of `remainder` (as cut by SliceDatasetPrefix at
+// `base_nodes`): a link or observation goes with its newest endpoint.
+std::vector<NetworkDelta> OneNodeDeltas(const NetworkDelta& remainder,
+                                        size_t base_nodes) {
+  std::vector<NetworkDelta> out(remainder.nodes.size());
+  for (size_t i = 0; i < remainder.nodes.size(); ++i) {
+    out[i].nodes.push_back(remainder.nodes[i]);
+  }
+  for (const DeltaLink& link : remainder.links) {
+    out[std::max(link.src, link.dst) - base_nodes].links.push_back(link);
+  }
+  for (const DeltaObservation& obs : remainder.observations) {
+    out[obs.node - base_nodes].observations.push_back(obs);
+  }
+  return out;
+}
+
+// Expects `model`'s components to be bit for bit one cold
+// EstimateComponents pass over every observation of `dataset` with the
+// model's Theta, from `carried` (the components the call started from:
+// a Gaussian of an empty cluster keeps its parameters).
+void ExpectColdPassComponents(const Dataset& dataset, const Model& model,
+                              std::vector<AttributeComponents> carried) {
+  std::vector<const Attribute*> attrs;
+  for (const ModelAttributeInfo& info : model.attributes) {
+    attrs.push_back(&dataset.attributes[dataset.FindAttribute(info.name)]);
+  }
+  GenClusConfig config;
+  config.num_clusters = model.num_clusters();
+  EmOptimizer(&dataset.network, attrs, &config, nullptr)
+      .EstimateComponents(model.theta, &carried);
+  ASSERT_EQ(carried.size(), model.components.size());
+  for (size_t a = 0; a < carried.size(); ++a) {
+    SCOPED_TRACE(model.attributes[a].name);
+    if (carried[a].kind() == AttributeKind::kCategorical) {
+      EXPECT_EQ(carried[a].beta().data(), model.components[a].beta().data());
+      continue;
+    }
+    for (ClusterId k = 0; k < model.num_clusters(); ++k) {
+      EXPECT_EQ(carried[a].gaussian(k).mean(),
+                model.components[a].gaussian(k).mean());
+      EXPECT_EQ(carried[a].gaussian(k).variance(),
+                model.components[a].gaussian(k).variance());
+    }
+  }
+}
+
+// Applies `delta` with the default options, expects the refresh to have
+// read `expected_rows` rows (0 = every row of the grown dataset) and
+// its components to equal a cold pass.
+void ApplyAndExpectRefresh(Dataset* dataset, Model* model,
+                           const NetworkDelta& delta, size_t expected_rows) {
+  const std::vector<AttributeComponents> carried = model->components;
+  auto report = ApplyUpdates(dataset, model, {&delta, 1});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const size_t n = dataset->network.num_nodes();
+  EXPECT_EQ(report.value().refreshed_rows,
+            expected_rows == 0 ? n : expected_rows);
+  ExpectColdPassComponents(*dataset, *model, carried);
+}
+
+// A generated ACP network with its papers last, as the repository
+// benchmark slices it: the last 12 papers arrive one per delta. A new
+// paper's links re-solve old authors and conferences, which carry no
+// text, so every refresh after the first can resume.
+class UpdateRefreshTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    DblpConfig config;
+    config.num_authors = 60;
+    config.num_papers = 150;
+    config.num_conferences = 4;
+    config.seed = 931;
+    auto corpus = GenerateDblpCorpus(config);
+    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+    auto acp = BuildAcpNetwork(corpus.value(), config);
+    ASSERT_TRUE(acp.ok()) << acp.status().ToString();
+    const Dataset& full = acp.value().dataset;
+    const size_t base_nodes = full.network.num_nodes() - 12;
+    NetworkDelta remainder;
+    auto base = SliceDatasetPrefix(full, base_nodes, &remainder);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    base_ = new Dataset(std::move(base).value());
+    deltas_ = new std::vector<NetworkDelta>(
+        OneNodeDeltas(remainder, base_nodes));
+    paper_type_ = acp.value().paper_type;
+    old_paper_ = acp.value().paper_nodes.front();
+
+    FitOptions options;
+    options.attributes = {"text"};
+    options.config.num_clusters = 4;
+    options.config.outer_iterations = 2;
+    options.config.em_iterations = 10;
+    options.config.num_init_seeds = 1;
+    options.config.num_threads = 1;
+    options.config.seed = 932;
+    auto fit = Engine::Fit(*base_, options);
+    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+    model_ = new Model(std::move(fit).value().model);
+  }
+
+  static void TearDownTestSuite() {
+    delete model_;
+    model_ = nullptr;
+    delete deltas_;
+    deltas_ = nullptr;
+    delete base_;
+    base_ = nullptr;
+  }
+
+  // Applies the first two deltas: a full pass, then a resumed one.
+  static void Warm(Dataset* dataset, Model* model) {
+    ApplyAndExpectRefresh(dataset, model, (*deltas_)[0], 0);
+    ApplyAndExpectRefresh(dataset, model, (*deltas_)[1], 1);
+  }
+
+  static Dataset* base_;
+  static std::vector<NetworkDelta>* deltas_;
+  static Model* model_;
+  static ObjectTypeId paper_type_;
+  static NodeId old_paper_;
+};
+
+Dataset* UpdateRefreshTest::base_ = nullptr;
+std::vector<NetworkDelta>* UpdateRefreshTest::deltas_ = nullptr;
+Model* UpdateRefreshTest::model_ = nullptr;
+ObjectTypeId UpdateRefreshTest::paper_type_ = kInvalidObjectType;
+NodeId UpdateRefreshTest::old_paper_ = kInvalidNode;
+
+TEST_F(UpdateRefreshTest, ResumesOnAppendedPapers) {
+  Dataset dataset = *base_;
+  Model model = *model_;
+  ASSERT_TRUE(dataset.attributes[0].HasObservations(old_paper_));
+  for (size_t i = 0; i < deltas_->size(); ++i) {
+    SCOPED_TRACE(i);
+    ApplyAndExpectRefresh(&dataset, &model, (*deltas_)[i], i == 0 ? 0 : 1);
+  }
+}
+
+TEST_F(UpdateRefreshTest, FallsBackAfterThetaEdit) {
+  Dataset dataset = *base_;
+  Model model = *model_;
+  Warm(&dataset, &model);
+  // Reverse an observed row: still on the simplex, other bits.
+  double* row = model.theta.Row(old_paper_);
+  std::reverse(row, row + model.num_clusters());
+  ASSERT_TRUE(model.Validate().ok());
+  ApplyAndExpectRefresh(&dataset, &model, (*deltas_)[2], 0);
+}
+
+TEST_F(UpdateRefreshTest, FallsBackAfterAttributeEdit) {
+  Dataset dataset = *base_;
+  Model model = *model_;
+  Warm(&dataset, &model);
+  ASSERT_TRUE(dataset.attributes[0].AddTermCount(old_paper_, 3, 2.0).ok());
+  ApplyAndExpectRefresh(&dataset, &model, (*deltas_)[2], 0);
+}
+
+TEST_F(UpdateRefreshTest, FallsBackOnAnotherDatasetOfTheSameSize) {
+  Dataset dataset = *base_;
+  Model model = *model_;
+  Warm(&dataset, &model);
+  // Both pairs grow by one paper, with different text: the model's sums
+  // read the first pair's.
+  Dataset other = dataset;
+  Model other_model = model;
+  NetworkDelta shifted = (*deltas_)[2];
+  const uint32_t vocab =
+      static_cast<uint32_t>(dataset.attributes[0].vocab_size());
+  for (DeltaObservation& obs : shifted.observations) {
+    obs.term = (obs.term + 1) % vocab;
+  }
+  ApplyAndExpectRefresh(&dataset, &model, (*deltas_)[2], 1);
+  ApplyAndExpectRefresh(&other, &other_model, shifted, 1);
+  ApplyAndExpectRefresh(&other, &model, (*deltas_)[3], 0);
+}
+
+TEST_F(UpdateRefreshTest, FallsBackAfterACallWithoutRefresh) {
+  Dataset dataset = *base_;
+  Model model = *model_;
+  Warm(&dataset, &model);
+  // Late text on an old paper, folded in without a refresh: the node
+  // count stays, the sums go stale.
+  NetworkDelta late;
+  late.observations.push_back({0, old_paper_, 5, 1.0, 0.0});
+  UpdateOptions carry;
+  carry.refresh_components = false;
+  auto report = ApplyUpdates(&dataset, &model, {&late, 1}, carry);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().refreshed_rows, 0u);
+  ApplyAndExpectRefresh(&dataset, &model, (*deltas_)[2], 0);
+}
+
+TEST_F(UpdateRefreshTest, FallsBackAfterABinaryRoundTrip) {
+  Dataset dataset = *base_;
+  Model model = *model_;
+  Warm(&dataset, &model);
+  const std::string path =
+      ::testing::TempDir() + "/update_refresh_round_trip.gcm";
+  ASSERT_TRUE(SaveModelBinary(model, path).ok());
+  auto loaded = LoadModelBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  model = std::move(loaded).value();
+  std::remove(path.c_str());
+  ApplyAndExpectRefresh(&dataset, &model, (*deltas_)[2], 0);
+}
+
+TEST_F(UpdateRefreshTest, ObservedRowResolveKeepsNoSums) {
+  Dataset dataset = *base_;
+  Model model = *model_;
+  Warm(&dataset, &model);
+  // Late text on an old paper re-solves an observed row: a full pass
+  // that keeps no sums, so the next call runs one too and keeps them.
+  NetworkDelta late = (*deltas_)[2];
+  late.observations.push_back({0, old_paper_, 5, 1.0, 0.0});
+  ApplyAndExpectRefresh(&dataset, &model, late, 0);
+  ApplyAndExpectRefresh(&dataset, &model, (*deltas_)[3], 0);
+  ApplyAndExpectRefresh(&dataset, &model, (*deltas_)[4], 1);
+}
+
+TEST_F(UpdateRefreshTest, RefusedDeltaKeepsTheSums) {
+  Dataset dataset = *base_;
+  Model model = *model_;
+  Warm(&dataset, &model);
+  NetworkDelta refused = (*deltas_)[2];
+  refused.observations.push_back(
+      {0, old_paper_, 0, kMaxObservationMagnitude * 10, 0.0});
+  EXPECT_EQ(ApplyUpdates(&dataset, &model, {&refused, 1}).status().code(),
+            StatusCode::kInvalidArgument);
+  ApplyAndExpectRefresh(&dataset, &model, (*deltas_)[2], 1);
+}
+
+TEST(UpdateRefreshWeatherTest, FullPassWhenObservedRowsAreResolved) {
+  // Every delta brings a sensor and a late reading on an old sensor, so
+  // each call re-solves a row that carries readings: no call can resume
+  // (or keeps sums), and the Gaussians still equal a cold pass.
+  WeatherConfig config = WeatherConfig::Setting1();
+  config.num_temperature_sensors = 80;
+  config.num_precipitation_sensors = 40;
+  config.seed = 941;
+  auto weather = GenerateWeatherNetwork(config);
+  ASSERT_TRUE(weather.ok()) << weather.status().ToString();
+  const Dataset& full = weather.value().dataset;
+  const size_t base_nodes = full.network.num_nodes() - 8;
+  NetworkDelta remainder;
+  auto base = SliceDatasetPrefix(full, base_nodes, &remainder);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  Dataset dataset = std::move(base).value();
+
+  FitOptions options;
+  options.attributes = {"temperature", "precipitation"};
+  options.config.num_clusters = 4;
+  options.config.outer_iterations = 2;
+  options.config.em_iterations = 10;
+  options.config.num_init_seeds = 1;
+  options.config.num_threads = 1;
+  options.config.seed = 942;
+  auto fit = Engine::Fit(dataset, options);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  Model model = std::move(fit).value().model;
+
+  const AttributeId temperature = dataset.FindAttribute("temperature");
+  NodeId sensor = 0;
+  while (!dataset.attributes[temperature].HasObservations(sensor)) ++sensor;
+  std::vector<NetworkDelta> deltas = OneNodeDeltas(remainder, base_nodes);
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    SCOPED_TRACE(i);
+    deltas[i].observations.push_back(
+        {temperature, sensor, 0, 1.0, 10.0 + static_cast<double>(i)});
+    ApplyAndExpectRefresh(&dataset, &model, deltas[i], 0);
+  }
 }
 
 }  // namespace

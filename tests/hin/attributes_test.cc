@@ -34,6 +34,10 @@ TEST(CategoricalAttributeTest, RejectsBadInput) {
   EXPECT_FALSE(text.AddTermCount(0, 0, 0.0).ok());   // non-positive count
   EXPECT_FALSE(text.AddTermCount(0, 0, -1.0).ok());
   EXPECT_FALSE(text.AddValue(0, 1.0).ok());          // wrong kind
+  // Counts up to the bound only, so every M-step sum stays finite.
+  EXPECT_TRUE(text.AddTermCount(0, 0, kMaxObservationMagnitude).ok());
+  EXPECT_FALSE(text.AddTermCount(1, 0, 1.01 * kMaxObservationMagnitude).ok());
+  EXPECT_FALSE(text.HasObservations(1));
 }
 
 TEST(NumericalAttributeTest, BasicObservations) {
@@ -52,6 +56,11 @@ TEST(NumericalAttributeTest, RejectsBadInput) {
   EXPECT_FALSE(temp.AddValue(5, 1.0).ok());
   EXPECT_FALSE(temp.AddValue(0, std::nan("")).ok());
   EXPECT_FALSE(temp.AddTermCount(0, 0, 1.0).ok());  // wrong kind
+  // Magnitudes up to the bound only: a square of 1e160 overflows.
+  EXPECT_TRUE(temp.AddValue(0, -kMaxObservationMagnitude).ok());
+  EXPECT_FALSE(temp.AddValue(1, 1e160).ok());
+  EXPECT_FALSE(temp.AddValue(1, -1e160).ok());
+  EXPECT_FALSE(temp.HasObservations(1));
 }
 
 TEST(AttributeTest, TotalObservationsCategorical) {

@@ -369,10 +369,14 @@ const RejectCase kRejectCases[] = {
      "attribute 't': term count must be positive finite"},
     {"obs_term t 0 1 -inf\n", StatusCode::kInvalidArgument, 0,
      "attribute 't': term count must be positive finite"},
+    {"obs_term t 0 1 1.5e100\n", StatusCode::kInvalidArgument, 0,
+     "attribute 't': term count 1.5e+100 exceeds 1e+100"},
     {"obs_value v 7 1\n", StatusCode::kInvalidArgument, 0,
      "attribute 'v': node 7 out of range (2 nodes)"},
     {"obs_value v 0 nan\n", StatusCode::kInvalidArgument, 0,
      "attribute 'v': value must be finite"},
+    {"obs_value v 0 -1e160\n", StatusCode::kInvalidArgument, 0,
+     "attribute 'v': value -1e+160 exceeds 1e+100 in magnitude"},
     // Labels past the node count.
     {"label 2 0\n", StatusCode::kIoError, 0, "label references unknown node"},
 };
