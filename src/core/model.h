@@ -33,13 +33,15 @@ struct ModelAttributeInfo {
 /// What ApplyUpdates (core/update.h) keeps in a model between calls so
 /// that its component refresh can resume: the M-step sums of the last
 /// refresh and the inputs they read. Opaque outside core/update.cc, which
-/// defines it. Copies are deep, so two models never share it.
+/// defines it. A move carries it; a copy starts empty (and copy
+/// assignment empties it), so two models never share it and a served
+/// copy never holds it.
 class RefreshCache {
  public:
   RefreshCache() noexcept;
   ~RefreshCache();
-  RefreshCache(const RefreshCache& other);
-  RefreshCache& operator=(const RefreshCache& other);
+  RefreshCache(const RefreshCache&) noexcept;
+  RefreshCache& operator=(const RefreshCache&) noexcept;
   RefreshCache(RefreshCache&& other) noexcept;
   RefreshCache& operator=(RefreshCache&& other) noexcept;
 
@@ -50,9 +52,10 @@ class RefreshCache {
 };
 
 /// Self-contained trained clustering model. Plain data apart from
-/// `refresh_cache`: copy, move and serialize freely. A copy carries its own
-/// copy of the cache; SaveModelBinary drops it, so a loaded model, like a
-/// fitted or refitted one, starts without. Invariants are checked by
+/// `refresh_cache`: copy, move and serialize freely. A move keeps the
+/// cache; a copy and SaveModelBinary drop it, so a copied or loaded
+/// model, like a fitted or refitted one, starts without (its first
+/// ApplyUpdates runs the full component pass). Invariants are checked by
 /// Validate(), compatibility with a serving network by ValidateAgainst().
 struct Model {
   /// Soft clustering: row v is theta_v on the K-simplex.

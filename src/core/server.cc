@@ -26,10 +26,9 @@ constexpr size_t kMaxLatencySamples = 8192;
 // rides out single-batch outliers.
 constexpr double kEwmaAlpha = 0.25;
 
-// Scheduling slack added to the predicted execution time when a deadline
-// caps its micro-batch's linger: the batch must start early enough that
-// dequeue-to-execute overhead does not eat the remaining budget.
-constexpr int64_t kLingerSlackUs = 1000;
+// Least scheduling slack a deadline-capped linger leaves before the
+// request's latest start (see WorkerLoop's linger_cap).
+constexpr int64_t kMinLingerSlackUs = 1000;
 
 // Nearest-rank percentile, reordering `samples` in place. Successive
 // calls on the same scratch buffer are fine: nth_element needs no
@@ -555,15 +554,25 @@ void Server::WorkerLoop() {
   std::vector<double> queue_waits_us;
   const std::chrono::microseconds linger(options_.max_wait_us);
   // A tight-deadline member caps its batch's linger: coalescing must end
-  // early enough that the predicted execution (plus scheduling slack)
-  // still fits that member's remaining budget.
+  // early enough that the predicted execution still fits that member's
+  // remaining budget. The cap leaves scheduling slack before the latest
+  // start (deadline minus predicted execution) for a worker that wakes
+  // late: half the time from the request's enqueue to that start, and
+  // at least kMinLingerSlackUs. A fixed slack is outrun by an ordinary
+  // late wake-up on a loaded host, which then sheds a request the worker
+  // could still have answered; one in proportion to the budget is not.
   const auto linger_cap = [this](const Request& request) {
     if (request.deadline.is_infinite()) {
       return std::chrono::steady_clock::time_point::max();
     }
-    const auto margin = std::chrono::microseconds(
-        static_cast<int64_t>(PredictedExecMicros()) + kLingerSlackUs);
-    return request.deadline.when() - margin;
+    const auto latest_start =
+        request.deadline.when() -
+        std::chrono::microseconds(
+            static_cast<int64_t>(PredictedExecMicros()));
+    const auto slack = std::max<std::chrono::steady_clock::duration>(
+        std::chrono::microseconds(kMinLingerSlackUs),
+        (latest_start - request.enqueued_at) / 2);
+    return latest_start - slack;
   };
   while (queue_.PopBatch(&batch, options_.max_batch, linger, linger_cap) >
          0) {

@@ -37,7 +37,8 @@
 //     work nobody can use. Shed futures resolve with kDeadlineExceeded.
 //   * Linger cap: a tight-deadline request caps its micro-batch's
 //     coalescing linger so the batch starts executing while that request
-//     can still meet its budget.
+//     can still meet its budget, with slack for a worker that wakes late
+//     in proportion to that budget.
 //   * Cost-based early rejection: when queue-wait + execution EWMAs
 //     predict an arriving request cannot meet its deadline, Submit
 //     rejects it immediately with kDeadlineExceeded — the cheapest

@@ -138,13 +138,9 @@ struct RefreshCache::State {
 
 RefreshCache::RefreshCache() noexcept = default;
 RefreshCache::~RefreshCache() = default;
-RefreshCache::RefreshCache(const RefreshCache& other)
-    : state_(other.state_ ? std::make_unique<State>(*other.state_)
-                          : nullptr) {}
-RefreshCache& RefreshCache::operator=(const RefreshCache& other) {
-  if (this != &other) {
-    state_ = other.state_ ? std::make_unique<State>(*other.state_) : nullptr;
-  }
+RefreshCache::RefreshCache(const RefreshCache&) noexcept {}
+RefreshCache& RefreshCache::operator=(const RefreshCache&) noexcept {
+  state_.reset();
   return *this;
 }
 RefreshCache::RefreshCache(RefreshCache&& other) noexcept = default;

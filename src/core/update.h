@@ -59,7 +59,8 @@ struct UpdateOptions {
   /// rows settle, through EmOptimizer::EstimateComponents. The refresh
   /// resumes from the sums the model kept from its last refresh, reading
   /// only the appended rows' observations, when all of these hold:
-  ///   * the kept sums cover exactly the rows the model had on entry;
+  ///   * the kept sums cover exactly the rows the model had on entry (a
+  ///     fitted, refitted, loaded or copied model has none);
   ///   * no model attribute changed since that refresh (each carries the
   ///     stamp it gave them; every Attribute mutator clears it);
   ///   * those Theta rows are bitwise what the sums read;

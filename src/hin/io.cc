@@ -100,6 +100,40 @@ size_t Tokenize(std::string_view line,
   }
 }
 
+// `refusal` of the `index`-th (from 0) `record` line of `path`, with the
+// "<path>:<line>: " prefix of a scan error and its own code. LoadDataset
+// checks observations after its scan and keeps no line per record, so
+// this reads the file again up to the refused one; a read that does not
+// reach it leaves the refusal as it is.
+Status AtRecord(const std::string& path, std::string_view record,
+                size_t index, const Status& refusal) {
+  size_t line = 0;
+  std::unique_ptr<std::FILE, FileCloser> file(std::fopen(path.c_str(), "rb"));
+  if (file != nullptr) {
+    std::array<std::string_view, kMaxFields> tok;
+    const Status stopped = ForEachLine(
+        file.get(), path, [&](size_t line_no, std::string_view text) {
+          if (Tokenize(text, &tok) == 0 || tok[0] != record || index-- > 0) {
+            return Status::OK();
+          }
+          line = line_no;
+          return Status::Cancelled("found");  // ends the read
+        });
+    static_cast<void>(stopped);
+  }
+  if (line == 0) return refusal;
+  std::string msg = StrFormat("%s:%zu: %s", path.c_str(), line,
+                              refusal.message().c_str());
+  switch (refusal.code()) {
+    case StatusCode::kFailedPrecondition:
+      return Status::FailedPrecondition(std::move(msg));
+    case StatusCode::kInvalidArgument:
+      return Status::InvalidArgument(std::move(msg));
+    default:
+      return Status::IoError(std::move(msg));
+  }
+}
+
 // A whole-token unsigned decimal that fits T: no sign, no exponent.
 template <typename T>
 bool ParseUnsigned(std::string_view s, T* out) {
@@ -426,20 +460,23 @@ Result<Dataset> LoadDataset(const std::string& path) {
   }
   const std::vector<AttributeId> attr_ids = attr_names.Resolve(
       [&](const std::string& name) { return dataset.FindAttribute(name); });
-  for (const PendingTermObs& o : term_obs) {
-    AttributeId id = attr_ids[o.attr];
-    if (id == kInvalidAttribute) {
-      return Status::IoError("obs_term references unknown attribute");
-    }
-    GENCLUS_RETURN_IF_ERROR(
-        dataset.attributes[id].AddTermCount(o.node, o.term, o.count));
+  for (size_t i = 0; i < term_obs.size(); ++i) {
+    const PendingTermObs& o = term_obs[i];
+    const AttributeId id = attr_ids[o.attr];
+    const Status added =
+        id == kInvalidAttribute
+            ? Status::IoError("obs_term references unknown attribute")
+            : dataset.attributes[id].AddTermCount(o.node, o.term, o.count);
+    if (!added.ok()) return AtRecord(path, "obs_term", i, added);
   }
-  for (const PendingValueObs& o : value_obs) {
-    AttributeId id = attr_ids[o.attr];
-    if (id == kInvalidAttribute) {
-      return Status::IoError("obs_value references unknown attribute");
-    }
-    GENCLUS_RETURN_IF_ERROR(dataset.attributes[id].AddValue(o.node, o.value));
+  for (size_t i = 0; i < value_obs.size(); ++i) {
+    const PendingValueObs& o = value_obs[i];
+    const AttributeId id = attr_ids[o.attr];
+    const Status added =
+        id == kInvalidAttribute
+            ? Status::IoError("obs_value references unknown attribute")
+            : dataset.attributes[id].AddValue(o.node, o.value);
+    if (!added.ok()) return AtRecord(path, "obs_value", i, added);
   }
   if (!label_records.empty()) {
     dataset.labels = Labels(n);

@@ -34,8 +34,9 @@ Status SaveDataset(const Dataset& dataset, const std::string& path);
 /// terms, clusters and vocabulary sizes are unsigned decimal integers.
 /// Weights, counts and values are decimal floating-point numbers;
 /// subnormals load, and a leading '+' and hex floats are still accepted.
-/// A malformed record fails with "<path>:<line>: <why>", and a read error
-/// fails rather than ending the file early.
+/// A malformed record, or an observation its attribute refuses, fails
+/// with "<path>:<line>: <why>", and a read error fails rather than
+/// ending the file early.
 Result<Dataset> LoadDataset(const std::string& path);
 
 }  // namespace genclus

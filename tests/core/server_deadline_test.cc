@@ -4,7 +4,7 @@
 //   * a deadline that expires while the request is queued sheds at
 //     dequeue — the future resolves with kDeadlineExceeded, no work done;
 //   * a tight deadline caps its micro-batch's coalescing linger, so the
-//     batch executes by that deadline instead of lingering past it;
+//     request is answered within budget instead of lingering past it;
 //   * cost-based rejection: once queue-wait/exec EWMAs predict a miss,
 //     Submit rejects immediately (kDeadlineExceeded) without queueing;
 //   * graceful degradation: sustained overload steps the sweep count
@@ -196,13 +196,10 @@ TEST_F(ServerDeadlineTest, ExpiredInQueueIsShedAtDequeue) {
 }
 
 TEST_F(ServerDeadlineTest, TightDeadlineCapsTheBatchLinger) {
-  // A half-second linger would hold a batch far past a 60ms deadline if
-  // the worker waited it out. The deadline must cap the linger instead,
-  // so its batch executes early. A request without a deadline shares the
-  // batch and shows it: it is answered long before the linger would end.
-  // The tight request itself is answered, or shed when the worker woke
-  // later than the cap's 1 ms scheduling slack (a loaded host); either
-  // way it resolves with its batch.
+  // A half-second linger would shed a 60ms-deadline request if the
+  // worker waited it out. The deadline must cap the linger instead, with
+  // slack for a late wake-up: the request executes early and completes
+  // within budget, never shed.
   ServerOptions options;
   options.num_workers = 1;
   options.max_batch = 64;
@@ -210,26 +207,13 @@ TEST_F(ServerDeadlineTest, TightDeadlineCapsTheBatchLinger) {
   auto server = MakeServer(options);
 
   const auto start = std::chrono::steady_clock::now();
-  auto patient = server->Submit(MakeQuery(0));
-  ASSERT_TRUE(patient.ok()) << patient.status().ToString();
-  auto tight = server->Submit(MakeQuery(1), Deadline::AfterMicros(60'000));
-  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
-  const QueryResult answered = patient->get();
+  auto submitted = server->Submit(MakeQuery(), Deadline::AfterMicros(60'000));
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  const QueryResult result = submitted->get();
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_TRUE(answered.ok()) << answered.status.ToString();
+  EXPECT_TRUE(result.ok()) << result.status.ToString();
   EXPECT_LT(elapsed, milliseconds(400));  // nowhere near the full linger
-
-  const QueryResult result = tight->get();
-  const ServerStats stats = server->Stats();
-  if (result.ok()) {
-    EXPECT_EQ(stats.deadline_shed, 0u);
-  } else {
-    EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded)
-        << result.status.ToString();
-    EXPECT_EQ(stats.deadline_shed, 1u);
-  }
-  EXPECT_EQ(stats.accepted, 2u);
-  EXPECT_EQ(stats.completed + stats.deadline_shed, 2u);
+  EXPECT_EQ(server->Stats().deadline_shed, 0u);
 }
 
 TEST_F(ServerDeadlineTest, SubmitBatchAppliesOneDeadlineToEverySlot) {

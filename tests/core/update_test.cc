@@ -20,9 +20,9 @@
 //     paper deltas on ACP), runs the full pass otherwise (re-solved
 //     sensors with readings; an edited Theta row or attribute, another
 //     dataset of the same size, a call without refresh, a binary round
-//     trip), keeps no sums after re-solving an observed row, keeps
-//     resuming past a refused delta, and always leaves the components
-//     bit for bit those of a cold pass;
+//     trip, a copied model), keeps no sums after re-solving an observed
+//     row, keeps resuming past a refused delta and across a move, and
+//     always leaves the components bit for bit those of a cold pass;
 //   * both paths validate their inputs (shrunk dataset, node-count
 //     mismatch, bad options, a previous model of another attribute
 //     shape), and ApplyUpdates is all-or-nothing: a failing delta — for
@@ -697,7 +697,8 @@ TEST_F(UpdateRefreshTest, FallsBackOnAnotherDatasetOfTheSameSize) {
   Model model = *model_;
   Warm(&dataset, &model);
   // Both pairs grow by one paper, with different text: the model's sums
-  // read the first pair's.
+  // read the first pair's. The copied model starts without sums, so its
+  // call runs the full pass.
   Dataset other = dataset;
   Model other_model = model;
   NetworkDelta shifted = (*deltas_)[2];
@@ -707,8 +708,29 @@ TEST_F(UpdateRefreshTest, FallsBackOnAnotherDatasetOfTheSameSize) {
     obs.term = (obs.term + 1) % vocab;
   }
   ApplyAndExpectRefresh(&dataset, &model, (*deltas_)[2], 1);
-  ApplyAndExpectRefresh(&other, &other_model, shifted, 1);
+  ApplyAndExpectRefresh(&other, &other_model, shifted, 0);
   ApplyAndExpectRefresh(&other, &model, (*deltas_)[3], 0);
+}
+
+TEST_F(UpdateRefreshTest, CopiesStartWithoutTheSumsMovesKeepThem) {
+  Dataset dataset = *base_;
+  Model model = *model_;
+  Warm(&dataset, &model);
+  // Each dataset copy carries its attributes' stamps, so the original's
+  // sums would fit it. A copy of the model runs one full pass, then
+  // resumes on its own sums.
+  Dataset copied_dataset = dataset;
+  Model copy = model;
+  ApplyAndExpectRefresh(&copied_dataset, &copy, (*deltas_)[2], 0);
+  ApplyAndExpectRefresh(&copied_dataset, &copy, (*deltas_)[3], 1);
+  // Copy assignment takes none of the source's sums either.
+  Dataset assigned_dataset = dataset;
+  Model assigned = *model_;
+  assigned = model;
+  ApplyAndExpectRefresh(&assigned_dataset, &assigned, (*deltas_)[2], 0);
+  // The original kept its sums, and a move carries them.
+  Model moved = std::move(model);
+  ApplyAndExpectRefresh(&dataset, &moved, (*deltas_)[2], 1);
 }
 
 TEST_F(UpdateRefreshTest, FallsBackAfterACallWithoutRefresh) {

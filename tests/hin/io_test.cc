@@ -339,9 +339,9 @@ const RejectCase kRejectCases[] = {
      "node references unknown object type 'C'"},
     {"link 0 1 zz 1\n", StatusCode::kIoError, 0,
      "link references unknown type 'zz'"},
-    {"obs_term u 0 1 1\n", StatusCode::kIoError, 0,
+    {"obs_term u 0 1 1\n", StatusCode::kIoError, 9,
      "obs_term references unknown attribute"},
-    {"obs_value u 0 1\n", StatusCode::kIoError, 0,
+    {"obs_value u 0 1\n", StatusCode::kIoError, 9,
      "obs_value references unknown attribute"},
     // Links the builder refuses.
     {"link 0 2 ab 1\n", StatusCode::kInvalidArgument, 0,
@@ -357,25 +357,28 @@ const RejectCase kRejectCases[] = {
     {"link 0 1 ab inf\n", StatusCode::kInvalidArgument, 0,
      "link 0 -> 1: weight must be positive finite"},
     // Observations the attributes refuse.
-    {"obs_term v 0 1 1\n", StatusCode::kFailedPrecondition, 0,
+    {"obs_term v 0 1 1\n", StatusCode::kFailedPrecondition, 9,
      "attribute 'v' is not categorical"},
-    {"obs_value t 0 1\n", StatusCode::kFailedPrecondition, 0,
+    {"obs_value t 0 1\n", StatusCode::kFailedPrecondition, 9,
      "attribute 't' is not numerical"},
-    {"obs_term t 2 1 1\n", StatusCode::kInvalidArgument, 0,
+    {"obs_term t 2 1 1\n", StatusCode::kInvalidArgument, 9,
      "attribute 't': node 2 out of range (2 nodes)"},
-    {"obs_term t 0 4 1\n", StatusCode::kInvalidArgument, 0,
+    {"obs_term t 0 4 1\n", StatusCode::kInvalidArgument, 9,
      "term 4 out of vocabulary (size 4)"},
-    {"obs_term t 0 1 0\n", StatusCode::kInvalidArgument, 0,
+    {"obs_term t 0 1 0\n", StatusCode::kInvalidArgument, 9,
      "attribute 't': term count must be positive finite"},
-    {"obs_term t 0 1 -inf\n", StatusCode::kInvalidArgument, 0,
+    {"obs_term t 0 1 -inf\n", StatusCode::kInvalidArgument, 9,
      "attribute 't': term count must be positive finite"},
-    {"obs_term t 0 1 1.5e100\n", StatusCode::kInvalidArgument, 0,
+    {"obs_term t 0 1 1.5e100\n", StatusCode::kInvalidArgument, 9,
      "attribute 't': term count 1.5e+100 exceeds 1e+100"},
-    {"obs_value v 7 1\n", StatusCode::kInvalidArgument, 0,
+    {"obs_term t 0 1 1\nobs_value v 0 1\nobs_term t 1 3 1.5e100\n",
+     StatusCode::kInvalidArgument, 11,
+     "attribute 't': term count 1.5e+100 exceeds 1e+100"},
+    {"obs_value v 7 1\n", StatusCode::kInvalidArgument, 9,
      "attribute 'v': node 7 out of range (2 nodes)"},
-    {"obs_value v 0 nan\n", StatusCode::kInvalidArgument, 0,
+    {"obs_value v 0 nan\n", StatusCode::kInvalidArgument, 9,
      "attribute 'v': value must be finite"},
-    {"obs_value v 0 -1e160\n", StatusCode::kInvalidArgument, 0,
+    {"obs_value v 0 -1e160\n", StatusCode::kInvalidArgument, 9,
      "attribute 'v': value -1e+160 exceeds 1e+100 in magnitude"},
     // Labels past the node count.
     {"label 2 0\n", StatusCode::kIoError, 0, "label references unknown node"},
