@@ -1,10 +1,9 @@
-// Serving-tier throughput/latency bench for core/server.h, companion to
-// serve_bench in the machine-readable perf trajectory. serve_bench
-// measures the raw Plan/Execute pipeline; this bench measures the tier
-// wrapped around it — bounded queue, micro-batching admission loop and
-// per-worker sessions — and writes BENCH_server.json.
+// Serving-tier throughput/latency bench for core/server.h. perfbench's
+// inference.* layers time the raw Plan/Execute pipeline; this bench
+// measures the tier wrapped around it — bounded queue, micro-batching
+// admission loop and per-worker sessions — and writes BENCH_server.json.
 //
-// Phases (weather fixture, same construction as serve_bench):
+// Phases (weather Setting 1 fixture):
 //   serial     one query at a time through Plan/Execute on one thread —
 //              the old per-request Submit behavior under its global
 //              execution mutex; the baseline qps.
@@ -66,8 +65,8 @@ namespace {
 
 using namespace genclus;
 
-// Fold-in queries mirroring serve_bench: each new sensor links to 2 * k
-// neighbors over both relations and reports readings of both attributes.
+// Fold-in queries: each new sensor links to 2 * k neighbors over both
+// relations and reports readings of both attributes.
 std::vector<NewObjectQuery> MakeQueries(const WeatherData& data,
                                         const WeatherConfig& config,
                                         size_t count) {

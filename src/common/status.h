@@ -89,6 +89,12 @@ class Status {
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
+  /// A status of this one's code carrying `msg` instead: adds context to
+  /// an error on its way out.
+  Status WithMessage(std::string msg) const {
+    return Status(code_, std::move(msg));
+  }
+
   bool operator==(const Status& other) const {
     return code_ == other.code_ && message_ == other.message_;
   }

@@ -156,7 +156,7 @@ class EmOptimizer {
 
   /// One EM iteration through the original per-link OutLinks traversal,
   /// kept as the serial reference implementation the kernel path is
-  /// tested against (and the baseline em_bench measures speedups from).
+  /// tested against, for every K dispatch and block count (em_test).
   double ReferenceStep(const std::vector<double>& gamma, Matrix* theta,
                        std::vector<AttributeComponents>* components) const;
 

@@ -79,7 +79,6 @@ NewObjectObservation NewObjectObservation::Categorical(AttributeId attribute,
   obs.attribute = attribute;
   obs.term = term;
   obs.count = count;
-  obs.kind = ObservationKind::kCategorical;
   return obs;
 }
 
@@ -88,7 +87,7 @@ NewObjectObservation NewObjectObservation::Numerical(AttributeId attribute,
   NewObjectObservation obs;
   obs.attribute = attribute;
   obs.value = value;
-  obs.kind = ObservationKind::kNumerical;
+  obs.kind = AttributeKind::kNumerical;
   return obs;
 }
 
@@ -105,36 +104,34 @@ Status NewObjectObservation::Validate(const Model& model) const {
                ? model.attributes[attribute].name
                : StrFormat("#%u", attribute);
   };
-  if (kind == ObservationKind::kCategorical &&
-      model_kind != AttributeKind::kCategorical) {
+  if (kind != model_kind) {
     return Status::InvalidArgument(
-        StrFormat("categorical observation for attribute '%s', which is "
-                  "%s — use NewObjectObservation::Numerical",
-                  name().c_str(), KindName(model_kind)));
+        StrFormat("%s observation for attribute '%s', which is %s — use "
+                  "NewObjectObservation::%s",
+                  KindName(kind), name().c_str(), KindName(model_kind),
+                  model_kind == AttributeKind::kCategorical ? "Categorical"
+                                                            : "Numerical"));
   }
-  if (kind == ObservationKind::kNumerical &&
-      model_kind != AttributeKind::kNumerical) {
-    return Status::InvalidArgument(
-        StrFormat("numerical observation for attribute '%s', which is "
-                  "%s — use NewObjectObservation::Categorical",
-                  name().c_str(), KindName(model_kind)));
-  }
-  if (model_kind == AttributeKind::kCategorical) {
+  // The magnitude bound is the one a dataset's Attribute applies
+  // (hin/attributes.h), so evidence read from a dataset always passes.
+  // The negated compares refuse NaN too.
+  if (kind == AttributeKind::kCategorical) {
     const AttributeComponents& comp = model.components[attribute];
     if (term >= comp.beta().cols()) {
       return Status::InvalidArgument(
           StrFormat("term %u outside vocabulary", term));
     }
-    if (!(count >= 0.0) || !std::isfinite(count)) {
+    if (!(count >= 0.0 && count <= kMaxObservationMagnitude)) {
       return Status::InvalidArgument(
           StrFormat("observation count for attribute '%s' must be a "
-                    "finite non-negative number",
-                    name().c_str()));
+                    "non-negative number of at most %g",
+                    name().c_str(), kMaxObservationMagnitude));
     }
-  } else if (!std::isfinite(value)) {
+  } else if (!(std::abs(value) <= kMaxObservationMagnitude)) {
     return Status::InvalidArgument(
-        StrFormat("numerical observation for attribute '%s' must be finite",
-                  name().c_str()));
+        StrFormat("numerical observation for attribute '%s' must be a "
+                  "number of magnitude at most %g",
+                  name().c_str(), kMaxObservationMagnitude));
   }
   return Status::OK();
 }
@@ -169,7 +166,6 @@ InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
   plan.link_cols.reserve(max_links);
   plan.link_values.reserve(max_links);
   plan.observations.reserve(max_observations);
-  plan.observation_categorical.reserve(max_observations);
   plan.row_offsets.push_back(0);
   plan.observation_offsets.push_back(0);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -234,11 +230,6 @@ InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
     plan.observations.insert(plan.observations.end(),
                              query.observations.begin(),
                              query.observations.end());
-    for (const NewObjectObservation& obs : query.observations) {
-      plan.observation_categorical.push_back(
-          model_->components[obs.attribute].kind() ==
-          AttributeKind::kCategorical);
-    }
     plan.observation_offsets.push_back(plan.observations.size());
     plan.total_links += query.links.size();
     plan.total_observations += query.observations.size();
@@ -416,7 +407,7 @@ void InferSession::SweepRows(const InferPlan& plan, size_t block,
     for (size_t j = 0; j < num_obs; ++j) {
       const NewObjectObservation& obs = plan.observations[obs_begin + j];
       ServeWorkspace::ObsRef& ref = scratch.obs[j];
-      if (plan.observation_categorical[obs_begin + j] != 0) {
+      if (obs.kind == AttributeKind::kCategorical) {
         ref.categorical = true;
         ref.count = obs.count;
         ref.data = workspace_.beta_transpose_[obs.attribute].Row(obs.term);

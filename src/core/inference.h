@@ -82,26 +82,16 @@ struct NewObjectLink {
   double weight = 1.0;
 };
 
-/// Which union member of NewObjectObservation the caller filled. Legacy
-/// aggregate-initialized observations are kUnspecified and keep being
-/// interpreted by the model attribute's kind; factory-built observations
-/// declare their kind and are rejected at plan time when it mismatches.
-enum class ObservationKind : uint8_t {
-  kUnspecified,
-  kCategorical,
-  kNumerical,
-};
-
 /// A categorical observation of the new object (term + count) for one of
-/// the model's attributes, or a numerical value. Prefer the Categorical /
-/// Numerical factories, which record which union member is meant so
-/// Validate can reject kind mismatches with a precise message.
+/// the model's attributes, or a numerical value. `kind` says which member
+/// the caller filled; aggregate initialization leaves it categorical.
+/// Prefer the Categorical / Numerical factories, which set it.
 struct NewObjectObservation {
   AttributeId attribute = kInvalidAttribute;
   uint32_t term = 0;      // categorical
   double count = 1.0;     // categorical
   double value = 0.0;     // numerical
-  ObservationKind kind = ObservationKind::kUnspecified;
+  AttributeKind kind = AttributeKind::kCategorical;
 
   /// `count` occurrences of `term` for a categorical attribute.
   static NewObjectObservation Categorical(AttributeId attribute,
@@ -110,9 +100,10 @@ struct NewObjectObservation {
   static NewObjectObservation Numerical(AttributeId attribute, double value);
 
   /// Checks this observation against a trained model: the attribute must
-  /// exist, a declared kind must match the attribute's kind, a
-  /// categorical term must lie inside the trained vocabulary, and the
-  /// count/value must be finite (count non-negative).
+  /// exist and be of `kind`, a categorical term must lie inside the
+  /// trained vocabulary, a count must be finite and non-negative and a
+  /// value finite, each at most kMaxObservationMagnitude in magnitude —
+  /// the bound a dataset's Attribute applies (hin/attributes.h).
   Status Validate(const Model& model) const;
 };
 
@@ -154,12 +145,10 @@ struct InferPlan {
   ShardPartition theta_partition;
   CsrColumnSplit shard_split;
   /// Observations of the valid queries, flattened; row i's observations
-  /// live at [observation_offsets[i], observation_offsets[i + 1]).
-  /// `observation_categorical[j]` resolves observation j's kind against
-  /// the model once at plan time (1 = categorical), so execution never
-  /// chases model components.
+  /// live at [observation_offsets[i], observation_offsets[i + 1]). Plan
+  /// has checked each one's kind against the model, so execution never
+  /// chases model components to learn it.
   std::vector<NewObjectObservation> observations;
-  std::vector<uint8_t> observation_categorical;
   std::vector<size_t> observation_offsets;  // num_rows() + 1
   /// Batch stats over the valid queries.
   size_t total_links = 0;

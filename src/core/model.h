@@ -119,7 +119,7 @@ struct Model {
   /// payload (core/model_io.h), computed without touching the filesystem.
   /// Two models fingerprint equal iff SaveModelBinary would write
   /// byte-equal payloads — the identity Server stamps on swapped models
-  /// and the bench drift gates compare. Defined in model_io.cc.
+  /// and the invariance tests compare. Defined in model_io.cc.
   uint64_t Fingerprint() const;
 };
 

@@ -9,8 +9,8 @@
 // Each worker thread owns its own InferSession (and therefore its own
 // ServeWorkspace), so micro-batches execute concurrently — no global
 // execution mutex. The admission loop coalesces queued single queries
-// into micro-batches sized to the SpMM sweet spot (serve_bench maps the
-// batch-size curve; max_batch defaults into its knee). Because every
+// into micro-batches sized to the SpMM sweet spot (max_batch defaults to
+// the knee of the per-query cost against batch size). Because every
 // query's sweep depends only on its own links and observations, the
 // per-query answers are bitwise identical to Engine::InferBatch no matter
 // how the admission loop happens to batch them — the contract
@@ -109,8 +109,8 @@ struct ServerOptions {
   /// rejected with kResourceExhausted (never queued unboundedly).
   size_t queue_capacity = 1024;
   /// Largest micro-batch a worker coalesces per dequeue. 64 sits at the
-  /// knee of serve_bench's batch-size curve: most of the SpMM win of
-  /// batch 256 without its queueing delay.
+  /// knee of the per-query Plan/Execute cost against batch size: most of
+  /// the SpMM win of batch 256 without its queueing delay.
   size_t max_batch = 64;
   /// How long a worker lingers after the first dequeued query for more
   /// arrivals to coalesce. 0 = take only what is already queued. A

@@ -16,9 +16,12 @@
 
 namespace genclus {
 
-enum class AttributeKind {
-  kCategorical,
-  kNumerical,
+/// One byte with fixed values: a served NewObjectObservation
+/// (core/inference.h) carries one, and the repository benchmark pins its
+/// query inputs by hashing each observation's bytes.
+enum class AttributeKind : uint8_t {
+  kCategorical = 1,
+  kNumerical = 2,
 };
 
 /// Largest term count and largest value magnitude an attribute accepts.

@@ -8,8 +8,9 @@
 // Ids of surviving nodes never change, which is what lets Engine::Refit
 // carry their Theta rows over. ApplyNetworkDelta is the copying form
 // (copy, then grow), and SliceDatasetPrefix cuts one full dataset into a
-// base-plus-remainder pair — the growth-fixture generator refit_bench and
-// the incremental-maintenance tests are built on. The serving-side
+// base-plus-remainder pair — the growth-fixture generator the
+// incremental-maintenance tests and the repository benchmark's refresh
+// phase are built on. The serving-side
 // consumer is ApplyUpdates (core/update.h), which folds deltas into a
 // fitted model between refits.
 #pragma once

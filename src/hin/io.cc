@@ -100,11 +100,18 @@ size_t Tokenize(std::string_view line,
   }
 }
 
-// `refusal` of the `index`-th (from 0) `record` line of `path`, with the
-// "<path>:<line>: " prefix of a scan error and its own code. LoadDataset
-// checks observations after its scan and keeps no line per record, so
-// this reads the file again up to the refused one; a read that does not
-// reach it leaves the refusal as it is.
+// `refusal` of line `line` of `path`: the "<path>:<line>: " prefix of a
+// scan error, on the refusal's own code.
+Status AtLine(const std::string& path, size_t line, const Status& refusal) {
+  return refusal.WithMessage(
+      StrFormat("%s:%zu: %s", path.c_str(), line, refusal.message().c_str()));
+}
+
+// `refusal` of the `index`-th (from 0) `record` line of `path`, located
+// by AtLine. LoadDataset resolves names and checks records after its
+// scan and keeps no line per record, so this reads the file again up to
+// the refused one; a read that does not reach it leaves the refusal as it
+// is.
 Status AtRecord(const std::string& path, std::string_view record,
                 size_t index, const Status& refusal) {
   size_t line = 0;
@@ -121,17 +128,7 @@ Status AtRecord(const std::string& path, std::string_view record,
         });
     static_cast<void>(stopped);
   }
-  if (line == 0) return refusal;
-  std::string msg = StrFormat("%s:%zu: %s", path.c_str(), line,
-                              refusal.message().c_str());
-  switch (refusal.code()) {
-    case StatusCode::kFailedPrecondition:
-      return Status::FailedPrecondition(std::move(msg));
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(std::move(msg));
-    default:
-      return Status::IoError(std::move(msg));
-  }
+  return line == 0 ? refusal : AtLine(path, line, refusal);
 }
 
 // A whole-token unsigned decimal that fits T: no sign, no exponent.
@@ -330,7 +327,7 @@ Result<Dataset> LoadDataset(const std::string& path) {
         if (cmd == "object_type") {
           if (n != 2) return bad("object_type needs 1 field");
           auto r = schema.AddObjectType(std::string(tok[1]));
-          if (!r.ok()) return r.status();
+          if (!r.ok()) return AtLine(path, line_no, r.status());
         } else if (cmd == "link_type") {
           if (n != 4) return bad("link_type needs 3 fields");
           ObjectTypeId s = schema.FindObjectType(std::string(tok[2]));
@@ -339,7 +336,7 @@ Result<Dataset> LoadDataset(const std::string& path) {
             return bad("link_type references unknown object type");
           }
           auto r = schema.AddLinkType(std::string(tok[1]), s, t);
-          if (!r.ok()) return r.status();
+          if (!r.ok()) return AtLine(path, line_no, r.status());
         } else if (cmd == "inverse") {
           if (n != 3) return bad("inverse needs 2 fields");
           inverses.emplace_back(link_types.Intern(tok[1]),
@@ -414,36 +411,41 @@ Result<Dataset> LoadDataset(const std::string& path) {
   const std::vector<LinkTypeId> link_type_ids = link_types.Resolve(
       [&](const std::string& name) { return schema.FindLinkType(name); });
 
-  for (const auto& [a, b] : inverses) {
-    LinkTypeId ra = link_type_ids[a];
-    LinkTypeId rb = link_type_ids[b];
-    if (ra == kInvalidLinkType || rb == kInvalidLinkType) {
-      return Status::IoError("inverse references unknown link type");
-    }
-    GENCLUS_RETURN_IF_ERROR(schema.SetInverse(ra, rb));
+  for (size_t i = 0; i < inverses.size(); ++i) {
+    const LinkTypeId ra = link_type_ids[inverses[i].first];
+    const LinkTypeId rb = link_type_ids[inverses[i].second];
+    const Status set =
+        ra == kInvalidLinkType || rb == kInvalidLinkType
+            ? Status::IoError("inverse references unknown link type")
+            : schema.SetInverse(ra, rb);
+    if (!set.ok()) return AtRecord(path, "inverse", i, set);
   }
 
   NetworkBuilder builder(schema);
   size_t name_begin = 0;
-  for (const PendingNode& pn : nodes) {
-    ObjectTypeId t = object_type_ids[pn.type];
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const PendingNode& pn = nodes[i];
+    const ObjectTypeId t = object_type_ids[pn.type];
     if (t == kInvalidObjectType) {
-      return Status::IoError(
-          StrFormat("node references unknown object type '%s'",
-                    object_types.name(pn.type).c_str()));
+      return AtRecord(path, "node", i,
+                      Status::IoError(StrFormat(
+                          "node references unknown object type '%s'",
+                          object_types.name(pn.type).c_str())));
     }
     auto r = builder.AddNode(
         t, node_names.substr(name_begin, pn.name_end - name_begin));
-    if (!r.ok()) return r.status();
+    if (!r.ok()) return AtRecord(path, "node", i, r.status());
     name_begin = pn.name_end;
   }
-  for (const PendingLink& pl : links) {
-    LinkTypeId r = link_type_ids[pl.type];
-    if (r == kInvalidLinkType) {
-      return Status::IoError(StrFormat("link references unknown type '%s'",
-                                       link_types.name(pl.type).c_str()));
-    }
-    GENCLUS_RETURN_IF_ERROR(builder.AddLink(pl.src, pl.dst, r, pl.weight));
+  for (size_t i = 0; i < links.size(); ++i) {
+    const PendingLink& pl = links[i];
+    const LinkTypeId r = link_type_ids[pl.type];
+    const Status added =
+        r == kInvalidLinkType
+            ? Status::IoError(StrFormat("link references unknown type '%s'",
+                                        link_types.name(pl.type).c_str()))
+            : builder.AddLink(pl.src, pl.dst, r, pl.weight);
+    if (!added.ok()) return AtRecord(path, "link", i, added);
   }
   GENCLUS_ASSIGN_OR_RETURN(Network net, std::move(builder).Build());
   const size_t n = net.num_nodes();
@@ -480,8 +482,12 @@ Result<Dataset> LoadDataset(const std::string& path) {
   }
   if (!label_records.empty()) {
     dataset.labels = Labels(n);
-    for (const auto& [v, l] : label_records) {
-      if (v >= n) return Status::IoError("label references unknown node");
+    for (size_t i = 0; i < label_records.size(); ++i) {
+      const auto [v, l] = label_records[i];
+      if (v >= n) {
+        return AtRecord(path, "label", i,
+                        Status::IoError("label references unknown node"));
+      }
       dataset.labels.Set(v, l);
     }
   }

@@ -47,6 +47,12 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_FALSE(Status::NotFound("a") == Status::Internal("a"));
 }
 
+TEST(StatusTest, WithMessageKeepsTheCode) {
+  const Status s = Status::AlreadyExists("dup").WithMessage("f:3: dup");
+  EXPECT_EQ(s.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(s.message(), "f:3: dup");
+}
+
 TEST(ResultTest, HoldsValue) {
   Result<int> r(7);
   ASSERT_TRUE(r.ok());

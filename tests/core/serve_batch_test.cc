@@ -1,15 +1,19 @@
 // Batch-planned serving (BatchPlanner + InferSession behind
 // Engine::Plan/Execute): edge cases — empty batch, all-invalid
-// batch, duplicate links, links-only / observations-only queries — plus
-// the two load-bearing contracts: every batch result is bitwise identical
-// to the per-query InferMembership reference, and bitwise invariant to
-// the engine's pool size (1/2/8). Numerical coverage runs on a weather
-// fixture so the shared GaussianEvalTable path is exercised too.
+// batch, duplicate links, links-only / observations-only queries,
+// observation kinds and counts or readings past the observation bound,
+// refused alike by Plan and InferMembership — plus the two load-bearing
+// contracts: every batch result is bitwise identical to the per-query
+// InferMembership reference, and bitwise invariant to the engine's pool
+// size (1/2/8). Numerical coverage runs on a weather fixture so the
+// shared GaussianEvalTable path is exercised too.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <future>
+#include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -336,17 +340,35 @@ TEST_F(ServeBatchFixture, ObservationFactoriesValidateKindAtPlanTime) {
             std::string::npos);
   EXPECT_NE(plan.statuses[0].message().find("text"), std::string::npos);
 
-  // Non-finite values and negative counts are rejected too.
-  NewObjectQuery bad_count;
-  bad_count.observations.push_back(
-      NewObjectObservation::Categorical(0, 1, -2.0));
-  EXPECT_FALSE(engine.Plan(std::span(&bad_count, 1)).statuses[0].ok());
+  // Negative counts, and counts past kMaxObservationMagnitude, which a
+  // dataset's Attribute refuses too, are refused by Plan and the
+  // reference path alike. Two DBL_MAX counts would overflow the mixture,
+  // and the answer would fall back to the uniform vector, dropping the
+  // query's links.
+  for (double count : {-2.0, 1.5e100, std::numeric_limits<double>::max(),
+                       std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(count);
+    NewObjectQuery bad_count;
+    bad_count.links.push_back({fixture_->docs[0], fixture_->doc_doc, 1.0});
+    bad_count.observations = {NewObjectObservation::Categorical(0, 1, count),
+                              NewObjectObservation::Categorical(0, 2, count)};
+    const Status planned = engine.Plan(std::span(&bad_count, 1)).statuses[0];
+    EXPECT_EQ(planned.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(InferMembership(fixture_->dataset.network, *model_,
+                              bad_count.links, bad_count.observations)
+                  .status(),
+              planned);
+  }
+  // The bound itself is served.
+  NewObjectQuery at_bound;
+  at_bound.observations.push_back(
+      NewObjectObservation::Categorical(0, 1, kMaxObservationMagnitude));
+  EXPECT_TRUE(engine.Plan(std::span(&at_bound, 1)).statuses[0].ok());
 
-  // Legacy aggregate-initialized observations (kUnspecified) keep being
-  // interpreted by the model's kind.
-  NewObjectQuery legacy;
-  legacy.observations.push_back({0, /*term=*/1, /*count=*/2.0, 0.0});
-  EXPECT_TRUE(engine.Plan(std::span(&legacy, 1)).statuses[0].ok());
+  // An aggregate-initialized observation is categorical.
+  NewObjectQuery aggregate;
+  aggregate.observations.push_back({0, /*term=*/1, /*count=*/2.0, 0.0});
+  EXPECT_TRUE(engine.Plan(std::span(&aggregate, 1)).statuses[0].ok());
 }
 
 TEST_F(ServeBatchFixture, ReferencePathRejectsKindMismatchesToo) {
@@ -359,27 +381,51 @@ TEST_F(ServeBatchFixture, ReferencePathRejectsKindMismatchesToo) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A fitted weather network: numerical attributes 0 = temperature and
+// 1 = precipitation, fitted once per suite.
+class ServeBatchWeatherTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    WeatherConfig config;
+    config.num_temperature_sensors = 60;
+    config.num_precipitation_sensors = 30;
+    config.observations_per_sensor = 3;
+    config.seed = 17;
+    auto data = GenerateWeatherNetwork(config);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    data_ = new WeatherData(std::move(data).value());
+
+    FitOptions fit_options;
+    fit_options.attributes = {"temperature", "precipitation"};
+    fit_options.config.num_clusters = data_->true_membership.cols();
+    fit_options.config.outer_iterations = 2;
+    fit_options.config.em_iterations = 15;
+    fit_options.config.seed = 5;
+    auto fit = Engine::Fit(data_->dataset, fit_options);
+    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+    model_ = new Model(std::move(fit).value().model);
+  }
+
+  static void TearDownTestSuite() {
+    delete model_;
+    model_ = nullptr;
+    delete data_;
+    data_ = nullptr;
+  }
+
+  static WeatherData* data_;
+  static Model* model_;
+};
+
+WeatherData* ServeBatchWeatherTest::data_ = nullptr;
+Model* ServeBatchWeatherTest::model_ = nullptr;
+
 // Numerical attributes: the batch path shares one GaussianEvalTable per
 // attribute across the whole batch and hoists log theta per sweep; both
 // must leave results bitwise equal to the per-query reference.
-TEST(ServeBatchWeatherTest, NumericalBatchBitwiseEqualsReference) {
-  WeatherConfig config;
-  config.num_temperature_sensors = 60;
-  config.num_precipitation_sensors = 30;
-  config.observations_per_sensor = 3;
-  config.seed = 17;
-  auto data = GenerateWeatherNetwork(config);
-  ASSERT_TRUE(data.ok()) << data.status().ToString();
-
-  FitOptions fit_options;
-  fit_options.attributes = {"temperature", "precipitation"};
-  fit_options.config.num_clusters = data->true_membership.cols();
-  fit_options.config.outer_iterations = 2;
-  fit_options.config.em_iterations = 15;
-  fit_options.config.seed = 5;
-  auto fit = Engine::Fit(data->dataset, fit_options);
-  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
-  const Model model = std::move(fit).value().model;
+TEST_F(ServeBatchWeatherTest, NumericalBatchBitwiseEqualsReference) {
+  const WeatherData* data = data_;
+  const Model& model = *model_;
 
   // New sensors: a few links of each relation plus numerical readings of
   // both model attributes (0 = temperature, 1 = precipitation).
@@ -418,6 +464,59 @@ TEST(ServeBatchWeatherTest, NumericalBatchBitwiseEqualsReference) {
           << "query " << i << " pool variant " << p;
     }
   }
+}
+
+// An aggregate-initialized observation is categorical, so on a numerical
+// attribute it is refused with the factory to use.
+TEST_F(ServeBatchWeatherTest, AggregateObservationOnNumericalIsRefused) {
+  NewObjectQuery aggregate;
+  aggregate.observations.push_back(
+      {0, /*term=*/0, /*count=*/1.0, /*value=*/1.5});
+  auto engine = Engine::Create(&data_->dataset.network, *model_);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const InferPlan plan = engine->Plan(std::span(&aggregate, 1));
+  EXPECT_EQ(plan.statuses[0].code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.statuses[0].message().find(
+                "use NewObjectObservation::Numerical"),
+            std::string::npos)
+      << plan.statuses[0].message();
+  auto reference = InferMembership(data_->dataset.network, *model_, {},
+                                   aggregate.observations);
+  EXPECT_EQ(reference.status(), plan.statuses[0]);
+}
+
+// Readings past kMaxObservationMagnitude, which a dataset's Attribute
+// refuses, are refused by Plan and the reference path alike. Squared,
+// a reading of 1e160 or DBL_MAX overflows, the logits turn NaN and the
+// answer would fall back to the uniform vector, dropping the query's
+// links and its other readings.
+TEST_F(ServeBatchWeatherTest, ReadingsPastTheObservationBoundAreRefused) {
+  auto engine = Engine::Create(&data_->dataset.network, *model_);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const double max = std::numeric_limits<double>::max();
+  for (double value : {1e160, -1e160, max, -max, 1.5e100}) {
+    SCOPED_TRACE(value);
+    NewObjectQuery query;
+    query.links.push_back({0, data_->tt_link, 1.0});
+    query.observations = {NewObjectObservation::Numerical(0, 1.0),
+                          NewObjectObservation::Numerical(1, value)};
+    const InferPlan plan = engine->Plan(std::span(&query, 1));
+    EXPECT_EQ(plan.statuses[0].code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(plan.statuses[0].message().find("at most 1e+100"),
+              std::string::npos)
+        << plan.statuses[0].message();
+    auto reference = InferMembership(data_->dataset.network, *model_,
+                                     query.links, query.observations);
+    EXPECT_EQ(reference.status(), plan.statuses[0]);
+  }
+  // The bound itself is served.
+  NewObjectQuery at_bound;
+  at_bound.observations.push_back(
+      NewObjectObservation::Numerical(0, -kMaxObservationMagnitude));
+  EXPECT_TRUE(engine->Plan(std::span(&at_bound, 1)).statuses[0].ok());
+  EXPECT_TRUE(InferMembership(data_->dataset.network, *model_, {},
+                              at_bound.observations)
+                  .ok());
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 //   * SliceDatasetPrefix o ApplyNetworkDelta is the identity: slicing a
 //     dataset into a prefix plus remainder and replaying the remainder
 //     reproduces the full dataset exactly — the contract the
-//     incremental-maintenance fixtures (refit_bench, update_test) rely on;
+//     incremental-maintenance fixtures (update_test, delta_fuzz_test)
+//     rely on;
 //   * GrowDataset applies a batch in place, each delta addressing the
 //     nodes the ones before it added, and matches a fresh Build in every
 //     structure it maintains incrementally (rows, typed CSR, per-type

@@ -246,7 +246,7 @@ TEST_F(IoTest, LoadRejectsUnknownLinkType) {
 struct RejectCase {
   const char* records;
   StatusCode code;
-  size_t line;  // 0: the message carries no "<path>:<line>: " prefix
+  size_t line;
   const char* why;
 };
 
@@ -327,35 +327,39 @@ const RejectCase kRejectCases[] = {
     {"Node A\n", StatusCode::kIoError, 9, "unknown record type"},
     {"link_type ca C A\n", StatusCode::kIoError, 9,
      "link_type references unknown object type"},
-    {"object_type A\n", StatusCode::kAlreadyExists, 0,
+    {"object_type A\n", StatusCode::kAlreadyExists, 9,
      "object type 'A' already declared"},
-    {"link_type ab A B\n", StatusCode::kAlreadyExists, 0,
+    {"link_type ab A B\n", StatusCode::kAlreadyExists, 9,
      "link type 'ab' already declared"},
-    {"inverse ab zz\n", StatusCode::kIoError, 0,
+    {"inverse ab zz\n", StatusCode::kIoError, 9,
      "inverse references unknown link type"},
-    {"inverse ab ab\n", StatusCode::kInvalidArgument, 0,
+    {"inverse ab ab\n", StatusCode::kInvalidArgument, 9,
      "SetInverse: 'ab' and 'ab' endpoint types do not mirror"},
-    {"node C c0\n", StatusCode::kIoError, 0,
+    {"inverse ab ba\ninverse ab zz\n", StatusCode::kIoError, 10,
+     "inverse references unknown link type"},
+    {"node C c0\n", StatusCode::kIoError, 9,
      "node references unknown object type 'C'"},
-    {"link 0 1 zz 1\n", StatusCode::kIoError, 0,
+    {"link 0 1 zz 1\n", StatusCode::kIoError, 9,
      "link references unknown type 'zz'"},
     {"obs_term u 0 1 1\n", StatusCode::kIoError, 9,
      "obs_term references unknown attribute"},
     {"obs_value u 0 1\n", StatusCode::kIoError, 9,
      "obs_value references unknown attribute"},
     // Links the builder refuses.
-    {"link 0 2 ab 1\n", StatusCode::kInvalidArgument, 0,
+    {"link 0 2 ab 1\n", StatusCode::kInvalidArgument, 9,
      "link 0 -> 2 addresses a node past the node count 2"},
-    {"link 1 0 ab 1\n", StatusCode::kInvalidArgument, 0,
+    {"link 1 0 ab 1\n", StatusCode::kInvalidArgument, 9,
      "link type 'ab' expects (A -> B) but got (B -> A)"},
-    {"link 0 1 ab 0\n", StatusCode::kInvalidArgument, 0,
+    {"link 0 1 ab 0\n", StatusCode::kInvalidArgument, 9,
      "link 0 -> 1: weight must be positive finite"},
-    {"link 0 1 ab -2\n", StatusCode::kInvalidArgument, 0,
+    {"link 0 1 ab -2\n", StatusCode::kInvalidArgument, 9,
      "link 0 -> 1: weight must be positive finite"},
-    {"link 0 1 ab nan\n", StatusCode::kInvalidArgument, 0,
+    {"link 0 1 ab nan\n", StatusCode::kInvalidArgument, 9,
      "link 0 -> 1: weight must be positive finite"},
-    {"link 0 1 ab inf\n", StatusCode::kInvalidArgument, 0,
+    {"link 0 1 ab inf\n", StatusCode::kInvalidArgument, 9,
      "link 0 -> 1: weight must be positive finite"},
+    {"link 0 1 ab 1\nlink 0 2 ab 1\n", StatusCode::kInvalidArgument, 10,
+     "link 0 -> 2 addresses a node past the node count 2"},
     // Observations the attributes refuse.
     {"obs_term v 0 1 1\n", StatusCode::kFailedPrecondition, 9,
      "attribute 'v' is not categorical"},
@@ -381,7 +385,9 @@ const RejectCase kRejectCases[] = {
     {"obs_value v 0 -1e160\n", StatusCode::kInvalidArgument, 9,
      "attribute 'v': value -1e+160 exceeds 1e+100 in magnitude"},
     // Labels past the node count.
-    {"label 2 0\n", StatusCode::kIoError, 0, "label references unknown node"},
+    {"label 2 0\n", StatusCode::kIoError, 9, "label references unknown node"},
+    {"label 0 0\nlabel 2 0\n", StatusCode::kIoError, 10,
+     "label references unknown node"},
 };
 
 TEST_F(IoTest, RejectionsCarryCodeAndMessage) {
@@ -391,7 +397,7 @@ TEST_F(IoTest, RejectionsCarryCodeAndMessage) {
     auto r = Load(std::string(kPrelude) + c.records);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), c.code);
-    EXPECT_EQ(r.status().message(), c.line > 0 ? At(c.line, c.why) : c.why);
+    EXPECT_EQ(r.status().message(), At(c.line, c.why));
   }
 }
 
@@ -401,9 +407,11 @@ TEST_F(IoTest, RejectionOrder) {
   auto r = Load(std::string(kPrelude) + "node C c0\nbogus\n");
   EXPECT_EQ(r.status().message(), At(10, "unknown record type"));
   r = Load(std::string(kPrelude) + "obs_term u 0 1 1\nnode C c0\n");
-  EXPECT_EQ(r.status().message(), "node references unknown object type 'C'");
+  EXPECT_EQ(r.status().message(),
+            At(10, "node references unknown object type 'C'"));
   r = Load(std::string(kPrelude) + "node D d0\nnode C c0\n");
-  EXPECT_EQ(r.status().message(), "node references unknown object type 'D'");
+  EXPECT_EQ(r.status().message(),
+            At(9, "node references unknown object type 'D'"));
 }
 
 TEST_F(IoTest, CommentsAndBlankLinesIgnored) {

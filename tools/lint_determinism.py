@@ -3,10 +3,11 @@
 
 The library's headline guarantee is bitwise thread-count invariance:
 training (EM sweep, strength Newton) and serving (batch planner, server
-tier) must produce identical bytes for any pool size. The benches gate
-that dynamically (0-drift exits); this lint enforces the source-level
-invariants that make the guarantee hold BY CONSTRUCTION, so a violation
-is caught in review rather than by a flaky drift gate:
+tier) must produce identical bytes for any pool size. The ctest
+invariance suites gate that dynamically (bitwise equality across pool
+and shard counts); this lint enforces the source-level invariants that
+make the guarantee hold BY CONSTRUCTION, so a violation is caught in
+review rather than by a flaky drift gate:
 
   R1  No unordered-container use in src/core, src/linalg or src/hin, and
       no range-for iteration over a variable declared as an unordered
