@@ -112,9 +112,10 @@ Status NewObjectObservation::Validate(const Model& model) const {
                   model_kind == AttributeKind::kCategorical ? "Categorical"
                                                             : "Numerical"));
   }
-  // The magnitude bound is the one a dataset's Attribute applies
-  // (hin/attributes.h), so evidence read from a dataset always passes.
-  // The negated compares refuse NaN too.
+  // The magnitude bound is the one a dataset's Attribute applies to each
+  // stored count, repeated terms summed, and value (hin/attributes.h), so
+  // evidence read from a dataset always passes. The negated compares
+  // refuse NaN too.
   if (kind == AttributeKind::kCategorical) {
     const AttributeComponents& comp = model.components[attribute];
     if (term >= comp.beta().cols()) {

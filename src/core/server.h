@@ -108,9 +108,12 @@ struct ServerOptions {
   /// Request-queue bound: admissions beyond this many queued queries are
   /// rejected with kResourceExhausted (never queued unboundedly).
   size_t queue_capacity = 1024;
-  /// Largest micro-batch a worker coalesces per dequeue. 64 sits at the
-  /// knee of the per-query Plan/Execute cost against batch size: most of
-  /// the SpMM win of batch 256 without its queueing delay.
+  /// Largest micro-batch a worker coalesces per dequeue. 64 sat at the
+  /// knee of the per-query Plan/Execute cost against batch size when it
+  /// was chosen, from a sweep over batches of 1, 16 and 256 on a weather
+  /// network: most of the SpMM win of batch 256 without its queueing
+  /// delay. The repository benchmark times batches of 1 and of max_batch
+  /// only, so retuning this needs such a sweep again (ROADMAP item 2).
   size_t max_batch = 64;
   /// How long a worker lingers after the first dequeued query for more
   /// arrivals to coalesce. 0 = take only what is already queued. A

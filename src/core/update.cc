@@ -348,8 +348,9 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
   // Every touched row is one query of a single plan over all of its
   // out-links, built after the growth so the planner sees the grown
   // Theta. Evidence read from the grown dataset (targets < n, weights
-  // checked by GrowDataset, terms inside the model's vocabulary) cannot
-  // fail planning, so nothing after GrowDataset can fail.
+  // checked by GrowDataset, terms inside the model's vocabulary, counts
+  // bounded after repeated terms are summed) cannot fail planning, so
+  // nothing after GrowDataset can fail.
   std::vector<NewObjectQuery> queries;
   queries.reserve(rows.size());
   for (NodeId v : rows) {

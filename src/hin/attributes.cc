@@ -42,7 +42,7 @@ size_t Attribute::vocab_size() const {
 }
 
 Status Attribute::CheckTermCount(NodeId v, uint32_t term, double count,
-                                 size_t num_nodes) const {
+                                 size_t num_nodes, double held) const {
   if (kind_ != AttributeKind::kCategorical) {
     return Status::FailedPrecondition(
         StrFormat("attribute '%s' is not categorical", name_.c_str()));
@@ -65,6 +65,11 @@ Status Attribute::CheckTermCount(NodeId v, uint32_t term, double count,
     return Status::InvalidArgument(
         StrFormat("attribute '%s': term count %g exceeds %g", name_.c_str(),
                   count, kMaxObservationMagnitude));
+  }
+  if (held + count > kMaxObservationMagnitude) {
+    return Status::InvalidArgument(StrFormat(
+        "attribute '%s': node %u's count of term %u would total %g, above %g",
+        name_.c_str(), v, term, held + count, kMaxObservationMagnitude));
   }
   return Status::OK();
 }
@@ -93,15 +98,26 @@ Status Attribute::CheckValue(NodeId v, double value, size_t num_nodes) const {
 
 Status Attribute::AddTermCount(NodeId v, uint32_t term, double count) {
   GENCLUS_RETURN_IF_ERROR(CheckTermCount(v, term, count, num_nodes_));
-  stamp_ = 0;
   for (TermCount& tc : term_counts_[v]) {
     if (tc.term == term) {
+      GENCLUS_RETURN_IF_ERROR(
+          CheckTermCount(v, term, count, num_nodes_, tc.count));
+      stamp_ = 0;
       tc.count += count;
       return Status::OK();
     }
   }
+  stamp_ = 0;
   term_counts_[v].push_back({term, count});
   return Status::OK();
+}
+
+double Attribute::HeldCount(NodeId v, uint32_t term) const {
+  if (kind_ != AttributeKind::kCategorical || v >= num_nodes_) return 0.0;
+  for (const TermCount& tc : term_counts_[v]) {
+    if (tc.term == term) return tc.count;
+  }
+  return 0.0;
 }
 
 Status Attribute::AddValue(NodeId v, double value) {

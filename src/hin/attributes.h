@@ -56,7 +56,8 @@ class Attribute {
   size_t vocab_size() const;
 
   /// Adds `count` occurrences of `term` to node v's bag (categorical).
-  /// Accumulates if the term is already present.
+  /// Accumulates if the term is already present; the total is bounded
+  /// like a single count, since a fold-in query serves it as one.
   Status AddTermCount(NodeId v, uint32_t term, double count = 1.0);
 
   /// Appends a numerical observation to node v's list.
@@ -65,10 +66,16 @@ class Attribute {
   /// The checks of AddTermCount and AddValue, for an attribute spanning
   /// `num_nodes` nodes: GrowDataset (hin/delta.h) vets observations on
   /// nodes the attribute has yet to grow to. A count must be positive and
-  /// a value finite, each at most kMaxObservationMagnitude in magnitude.
+  /// a value finite, each at most kMaxObservationMagnitude in magnitude,
+  /// and so must `held` + `count`, where `held` is what v's bag will
+  /// already hold of `term` when the count is added.
   Status CheckTermCount(NodeId v, uint32_t term, double count,
-                        size_t num_nodes) const;
+                        size_t num_nodes, double held = 0.0) const;
   Status CheckValue(NodeId v, double value, size_t num_nodes) const;
+
+  /// Node v's count of `term`; 0 when v holds none, lies past
+  /// num_nodes() or the attribute is numerical.
+  double HeldCount(NodeId v, uint32_t term) const;
 
   /// Extends the attribute to `num_nodes` >= num_nodes() nodes; the new
   /// nodes carry no observations.

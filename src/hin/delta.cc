@@ -1,5 +1,8 @@
 #include "hin/delta.h"
 
+#include <algorithm>
+#include <map>
+#include <tuple>
 #include <utility>
 
 #include "common/string_util.h"
@@ -34,6 +37,29 @@ Result<Attribute> ResizeAttribute(const Attribute& attr, size_t num_nodes) {
   return out;
 }
 
+// Forms every total the commit will: each (attribute, node, term)'s
+// held count plus the batch's records of it, summed in batch order as
+// AddTermCount sums them, and checks each running total against the
+// bound. The records' other checks have passed.
+Status CheckTermTotals(const std::vector<Attribute>& attributes,
+                       std::span<const NetworkDelta> deltas,
+                       size_t num_nodes) {
+  std::map<std::tuple<AttributeId, NodeId, uint32_t>, double> totals;
+  for (const NetworkDelta& delta : deltas) {
+    for (const DeltaObservation& obs : delta.observations) {
+      const Attribute& attr = attributes[obs.attribute];
+      if (attr.kind() != AttributeKind::kCategorical) continue;
+      const auto [total, first] =
+          totals.try_emplace({obs.attribute, obs.node, obs.term});
+      if (first) total->second = attr.HeldCount(obs.node, obs.term);
+      GENCLUS_RETURN_IF_ERROR(attr.CheckTermCount(
+          obs.node, obs.term, obs.count, num_nodes, total->second));
+      total->second += obs.count;
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status GrowDataset(Dataset* dataset, std::span<const NetworkDelta> deltas) {
@@ -46,6 +72,8 @@ Status GrowDataset(Dataset* dataset, std::span<const NetworkDelta> deltas) {
   // ones before it, before changing anything. `node_types` is the grown
   // node set's types; it becomes the network's on commit.
   std::vector<ObjectTypeId> node_types = net.node_types_;
+  double batch_counts = 0.0;
+  double max_held = 0.0;
   for (const NetworkDelta& delta : deltas) {
     if (!delta.node_labels.empty() &&
         delta.node_labels.size() != delta.nodes.size()) {
@@ -69,12 +97,25 @@ Status GrowDataset(Dataset* dataset, std::span<const NetworkDelta> deltas) {
             obs.attribute));
       }
       const Attribute& attr = attributes[obs.attribute];
-      GENCLUS_RETURN_IF_ERROR(
-          attr.kind() == AttributeKind::kCategorical
-              ? attr.CheckTermCount(obs.node, obs.term, obs.count,
-                                    node_types.size())
-              : attr.CheckValue(obs.node, obs.value, node_types.size()));
+      if (attr.kind() == AttributeKind::kNumerical) {
+        GENCLUS_RETURN_IF_ERROR(
+            attr.CheckValue(obs.node, obs.value, node_types.size()));
+        continue;
+      }
+      const double held = attr.HeldCount(obs.node, obs.term);
+      GENCLUS_RETURN_IF_ERROR(attr.CheckTermCount(
+          obs.node, obs.term, obs.count, node_types.size(), held));
+      batch_counts += obs.count;
+      max_held = std::max(max_held, held);
     }
+  }
+  // A term repeated in the batch sums onto one total. A total can pass
+  // the bound only if the largest held count and all of the batch's
+  // counts together come near it (half of it leaves room for rounding);
+  // only then is every running total formed.
+  if (max_held + batch_counts > kMaxObservationMagnitude / 2) {
+    GENCLUS_RETURN_IF_ERROR(
+        CheckTermTotals(attributes, deltas, node_types.size()));
   }
   if (deltas.empty()) return Status::OK();
 

@@ -73,8 +73,9 @@ struct NetworkDelta {
 /// observation is applied according to its attribute's kind (term/count
 /// for categorical, value for numerical). Nodes and links must pass the
 /// checks of NetworkBuilder (CheckNode/CheckLink) and observations those
-/// of Attribute::AddTermCount/AddValue; the attribute must exist and a
-/// non-empty node_labels must be parallel to the delta's nodes.
+/// of Attribute::AddTermCount/AddValue, repeated terms summed across the
+/// batch onto the stored count; the attribute must exist and a non-empty
+/// node_labels must be parallel to the delta's nodes.
 /// All-or-nothing: the whole batch is checked before anything changes, so
 /// on error `dataset` is untouched. Growing reallocates the network's
 /// arrays, so nothing may read `dataset->network` during the call, and

@@ -9,14 +9,18 @@
 //   * weights and counts 0, -1, NaN, +-inf and a subnormal, counts of
 //     DBL_MAX too; terms past the vocabulary; NaN, infinite and huge
 //     values (1e160, whose square overflows, and +-DBL_MAX);
-//   * node_labels of the wrong length.
+//   * node_labels of the wrong length;
+//   * a count at kMaxObservationMagnitude repeated on its node and term,
+//     in the same delta and in the last one, so only the sum is too big.
 // Every mutant goes through GrowDataset and through ApplyUpdates, each on
 // a fresh copy of the base dataset and its fitted model. Both calls must
 // return (no abort, no exception) and agree. A refused mutant leaves the
 // dataset and the model exactly as they were; after an accepted one
-// Dataset::Validate and Model::Validate hold and every OutCsr row ascends.
+// Dataset::Validate and Model::Validate hold, every OutCsr row ascends
+// and every stored count and value is within kMaxObservationMagnitude.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <exception>
 #include <functional>
 #include <limits>
@@ -47,6 +51,25 @@ bool RowsAscend(const Network& net) {
       for (size_t i = csr.row_offsets[v] + 1; i < csr.row_offsets[v + 1];
            ++i) {
         if (csr.neighbors[i - 1] > csr.neighbors[i]) return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Whether every stored term count, repeated terms summed, and every
+// value is within kMaxObservationMagnitude.
+bool ObservationsWithinBound(const Dataset& dataset) {
+  for (const Attribute& attr : dataset.attributes) {
+    for (NodeId v = 0; v < attr.num_nodes(); ++v) {
+      if (attr.kind() == AttributeKind::kCategorical) {
+        for (const TermCount& tc : attr.TermCounts(v)) {
+          if (tc.count > kMaxObservationMagnitude) return false;
+        }
+      } else {
+        for (double x : attr.Values(v)) {
+          if (std::abs(x) > kMaxObservationMagnitude) return false;
+        }
       }
     }
   }
@@ -222,6 +245,18 @@ class DeltaFuzzTest : public ::testing::Test {
                   (*b)[d].observations[i].count = count;
                 });
           }
+          std::vector<size_t> repeat_in = {d};
+          if (d + 1 < batch_->size()) repeat_in.push_back(batch_->size() - 1);
+          for (size_t to : repeat_in) {
+            add(StrFormat("delta %zu observation %zu at the bound, again in "
+                          "delta %zu",
+                          d, i, to),
+                [=](std::vector<NetworkDelta>* b) {
+                  DeltaObservation& obs = (*b)[d].observations[i];
+                  obs.count = kMaxObservationMagnitude;
+                  (*b)[to].observations.push_back(obs);
+                });
+          }
         } else {
           const double max = std::numeric_limits<double>::max();
           for (double value : {nan, inf, -inf, 1e160, max, -max}) {
@@ -279,6 +314,7 @@ TEST_F(DeltaFuzzTest, HostileFieldsAreRefusedOrGrowCleanly) {
       if (status.ok()) {
         EXPECT_TRUE(grown.Validate().ok());
         EXPECT_TRUE(RowsAscend(grown.network));
+        EXPECT_TRUE(ObservationsWithinBound(grown));
       } else {
         EXPECT_FALSE(status.message().empty());
         testing::ExpectDatasetsEqual(*base_, grown);

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "core/feature.h"
 #include "linalg/solve.h"
 #include "tests/core/test_fixtures.h"
@@ -22,8 +23,10 @@ using testing::MakeTwoCommunityNetwork;
 
 class StrengthFixture : public ::testing::Test {
  protected:
-  void SetUp() override {
-    fixture_ = MakeTwoCommunityNetwork(4, 1.0, 11);
+  void SetUp() override { Build(4); }
+
+  void Build(size_t docs_per_side) {
+    fixture_ = MakeTwoCommunityNetwork(docs_per_side, 1.0, 11);
     const Network& net = fixture_.dataset.network;
     labels_.resize(net.num_nodes());
     for (NodeId v = 0; v < net.num_nodes(); ++v) {
@@ -230,14 +233,29 @@ TEST_F(StrengthFixture, FusedEvalBitwiseInvariantToThreadCount) {
 }
 
 TEST_F(StrengthFixture, LearnedGammaInvariantToThreadCount) {
-  StrengthLearner serial(&fixture_.dataset.network, &theta_, &config_);
+  // 80 docs per side: more nodes with out-links than two 64-node
+  // reduction blocks, so a pool merges block results. Random Theta rows
+  // make each block's partial sums differ in their low bits, so a change
+  // of merge order shows.
+  Build(80);
+  Rng rng(12);
+  for (size_t v = 0; v < theta_.rows(); ++v) {
+    const std::vector<double> row = rng.SimplexUniform(theta_.cols());
+    std::ranges::copy(row, theta_.Row(v));
+  }
+  const Network& net = fixture_.dataset.network;
+  size_t linking = 0;
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    if (net.OutDegree(v) > 0) ++linking;
+  }
+  ASSERT_GT(linking, 128u);
+  StrengthLearner serial(&net, &theta_, &config_);
   StrengthStats serial_stats;
   const std::vector<double> reference =
       serial.Learn({1.0, 1.0, 1.0}, &serial_stats);
   for (size_t threads : {2u, 4u, 8u}) {
     ThreadPool pool(threads);
-    StrengthLearner learner(&fixture_.dataset.network, &theta_, &config_,
-                            &pool);
+    StrengthLearner learner(&net, &theta_, &config_, &pool);
     StrengthStats stats;
     const std::vector<double> learned = learner.Learn({1.0, 1.0, 1.0},
                                                       &stats);

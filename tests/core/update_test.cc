@@ -612,6 +612,11 @@ TEST_F(UpdateTest, ApplyUpdatesIsAllOrNothing) {
   };
   NetworkDelta mislabeled = node_delta(full_->doc_type);
   mislabeled.node_labels = {0, 1};  // two labels, one node
+  // Each count passes alone; their sum, which the new node's fold-in
+  // query would serve, does not.
+  NetworkDelta doubled = node_delta(full_->doc_type);
+  doubled.observations.assign(
+      2, {text, grown, 0, kMaxObservationMagnitude, 0.0});
   const size_t vocab = seed.attributes[text].vocab_size();
 
   const std::vector<std::pair<const char*, NetworkDelta>> cases = {
@@ -634,6 +639,7 @@ TEST_F(UpdateTest, ApplyUpdatesIsAllOrNothing) {
                          0.0)},
       {"count 0", observation_delta(text, doc, 0, 0.0, 0.0)},
       {"count NaN", observation_delta(text, doc, 0, nan, 0.0)},
+      {"count at the bound twice on one node and term", doubled},
       {"numerical value NaN",
        observation_delta(numeric_id, doc, 0, 1.0, nan)},
       {"numerical value inf",

@@ -27,6 +27,22 @@ TEST(CategoricalAttributeTest, AccumulatesRepeatedTerms) {
   EXPECT_DOUBLE_EQ(text.TermCounts(0)[0].count, 3.5);
 }
 
+TEST(CategoricalAttributeTest, BoundsTheTotalOfRepeatedTerms) {
+  Attribute text = Attribute::Categorical("text", 4, 2);
+  ASSERT_TRUE(text.AddTermCount(0, 1, kMaxObservationMagnitude).ok());
+  const Status refused = text.AddTermCount(0, 1, kMaxObservationMagnitude);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.message(),
+            "attribute 'text': node 0's count of term 1 would total 2e+100, "
+            "above 1e+100");
+  EXPECT_EQ(text.HeldCount(0, 1), kMaxObservationMagnitude);
+  // Each term and node has its own total.
+  EXPECT_TRUE(text.AddTermCount(0, 2, kMaxObservationMagnitude).ok());
+  EXPECT_TRUE(text.AddTermCount(1, 1, kMaxObservationMagnitude).ok());
+  EXPECT_EQ(text.HeldCount(0, 3), 0.0);
+  EXPECT_EQ(text.HeldCount(2, 1), 0.0);  // past the node count
+}
+
 TEST(CategoricalAttributeTest, RejectsBadInput) {
   Attribute text = Attribute::Categorical("text", 4, 2);
   EXPECT_FALSE(text.AddTermCount(5, 0, 1.0).ok());   // node out of range

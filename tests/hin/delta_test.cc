@@ -17,7 +17,9 @@
 //     links, a link lands after any equal one already there and equal
 //     additions keep delta order;
 //   * malformed deltas fail with InvalidArgument and leave nothing
-//     half-applied.
+//     half-applied, and so does a term count that a repeated term sums
+//     past kMaxObservationMagnitude, within a delta, across the batch or
+//     onto the count a node already holds.
 #include "hin/delta.h"
 
 #include <gtest/gtest.h>
@@ -398,6 +400,55 @@ TEST(DeltaTest, GrowDatasetIsAllOrNothing) {
 
   ASSERT_TRUE(GrowDataset(&dataset, {&valid, 1}).ok());
   EXPECT_EQ(dataset.network.num_nodes(), fx.dataset.network.num_nodes() + 1);
+}
+
+TEST(DeltaTest, GrowDatasetBoundsSummedTermCounts) {
+  const auto fx = MakeFixture();
+  const NodeId fresh = static_cast<NodeId>(fx.dataset.network.num_nodes());
+  const DeltaObservation at_bound = {/*attribute=*/0, fresh, /*term=*/1,
+                                     kMaxObservationMagnitude};
+  NetworkDelta doubled;
+  doubled.nodes.push_back({fx.doc_type, "new_doc"});
+  doubled.observations = {at_bound, at_bound};
+  NetworkDelta one = doubled;
+  one.observations.pop_back();
+  NetworkDelta again;
+  again.observations = {at_bound};
+
+  const std::vector<std::pair<const char*, std::vector<NetworkDelta>>>
+      refused = {{"twice in one delta", {doubled}},
+                 {"once in each delta of a batch", {one, again}}};
+  for (const auto& [name, batch] : refused) {
+    SCOPED_TRACE(name);
+    Dataset dataset = fx.dataset;
+    const Status status = GrowDataset(&dataset, batch);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(),
+              StrFormat("attribute 'text': node %u's count of term 1 would "
+                        "total 2e+100, above 1e+100",
+                        fresh));
+    ExpectDatasetsEqual(fx.dataset, dataset);
+  }
+
+  // Onto the stored count: one record at the bound, or two records that
+  // each fit alone, are refused; another term of the node is not.
+  Dataset dataset = fx.dataset;
+  ASSERT_TRUE(GrowDataset(&dataset, {&one, 1}).ok());
+  NetworkDelta most;
+  most.observations = {{0, fresh, 2, 0.8 * kMaxObservationMagnitude}};
+  ASSERT_TRUE(GrowDataset(&dataset, {&most, 1}).ok());
+  NetworkDelta two_small;
+  two_small.observations.assign(
+      2, {0, fresh, 2, 0.15 * kMaxObservationMagnitude});
+  const Dataset grown = dataset;
+  for (const NetworkDelta* delta : {&again, &two_small}) {
+    EXPECT_EQ(GrowDataset(&dataset, {delta, 1}).code(),
+              StatusCode::kInvalidArgument);
+    ExpectDatasetsEqual(grown, dataset);
+  }
+  again.observations[0].term = 3;
+  ASSERT_TRUE(GrowDataset(&dataset, {&again, 1}).ok());
+  EXPECT_EQ(dataset.attributes[0].TermCounts(fresh).size(), 3u);
 }
 
 TEST(DeltaTest, RejectsMalformedDeltas) {

@@ -378,6 +378,10 @@ const RejectCase kRejectCases[] = {
     {"obs_term t 0 1 1\nobs_value v 0 1\nobs_term t 1 3 1.5e100\n",
      StatusCode::kInvalidArgument, 11,
      "attribute 't': term count 1.5e+100 exceeds 1e+100"},
+    {"obs_term t 0 1 1e100\nobs_term t 0 1 1e100\n",
+     StatusCode::kInvalidArgument, 10,
+     "attribute 't': node 0's count of term 1 would total 2e+100, above "
+     "1e+100"},
     {"obs_value v 7 1\n", StatusCode::kInvalidArgument, 9,
      "attribute 'v': node 7 out of range (2 nodes)"},
     {"obs_value v 0 nan\n", StatusCode::kInvalidArgument, 9,
