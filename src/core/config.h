@@ -105,15 +105,6 @@ struct GenClusConfig {
   /// Worker threads for the EM step. 0 = hardware concurrency.
   size_t num_threads = 1;
 
-  /// Column (node-range) shards for Θ's link term: the EM sweep computes
-  /// the W_r Θ product one shard at a time so each shard's Θ block stays
-  /// cache/NUMA-local, and Engine::Fit stamps the resolved count on the
-  /// fitted model. 0 = auto from the node count (see
-  /// ShardPartition::Resolve); any count is clamped to [1, num_nodes]
-  /// and the fitted Θ is bitwise identical for every choice. Default 1 =
-  /// today's monolithic layout.
-  size_t theta_shards = 1;
-
   /// When false, gamma stays at its initial value (the "no strength
   /// learning" ablation; baselines effectively run in this mode).
   bool learn_strengths = true;

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "linalg/sharding.h"
 #include "linalg/spmm.h"
 #include "prob/simplex.h"
 #include "prob/special_functions.h"
@@ -116,28 +115,6 @@ void EmWorkspace::Prepare(size_t num_nodes, size_t num_clusters,
   }
 }
 
-void EmWorkspace::PrepareSharding(const Network& network,
-                                  size_t requested_shards) {
-  const ShardPartition partition =
-      ShardPartition::Resolve(requested_shards, network.num_nodes());
-  const size_t num_relations = network.schema().num_link_types();
-  const size_t want_splits = partition.num_shards() > 1 ? num_relations : 0;
-  if (shard_ready_ &&
-      shard_partition_.num_shards() == partition.num_shards() &&
-      shard_partition_.num_cols() == partition.num_cols() &&
-      shard_splits_.size() == want_splits) {
-    return;
-  }
-  shard_partition_ = partition;
-  shard_splits_.assign(want_splits, CsrColumnSplit());
-  for (LinkTypeId r = 0; r < want_splits; ++r) {
-    const RelationCsr adj = network.OutCsr(r);
-    const CsrMatrixView view{adj.row_offsets, adj.neighbors, adj.weights};
-    shard_splits_[r].Build(view, shard_partition_);
-  }
-  shard_ready_ = true;
-}
-
 EmOptimizer::EmOptimizer(const Network* network,
                          std::vector<const Attribute*> attributes,
                          const GenClusConfig* config, ThreadPool* pool)
@@ -183,28 +160,13 @@ void EmOptimizer::RebuildDerivedTables(
 
 void EmOptimizer::AccumulateLinkTerm(const std::vector<double>& gamma,
                                      const double* theta_data, size_t begin,
-                                     size_t end, EmWorkspace* ws,
-                                     double* out) const {
+                                     size_t end, double* out) const {
   const size_t num_clusters = config_->num_clusters;
-  const size_t num_relations = gamma.size();
-  const ShardPartition& partition = ws->shard_partition_;
-  const size_t num_shards = partition.num_shards();
-  for (LinkTypeId r = 0; r < num_relations; ++r) {
+  for (LinkTypeId r = 0; r < gamma.size(); ++r) {
     if (gamma[r] == 0.0) continue;
     const RelationCsr adj = network_->OutCsr(r);
     const CsrMatrixView view{adj.row_offsets, adj.neighbors, adj.weights};
-    if (num_shards == 1) {
-      SpmmAccumulate(view, gamma[r], theta_data, num_clusters, begin, end,
-                     out);
-      continue;
-    }
-    // Shards run ascending inside each relation so every output row's
-    // non-zero chain replays the unsharded relation-by-relation order.
-    for (size_t s = 0; s < num_shards; ++s) {
-      SpmmAccumulateShard(view, ws->shard_splits_[r], partition, s, gamma[r],
-                          theta_data + partition.begin(s) * num_clusters,
-                          num_clusters, begin, end, out);
-    }
+    SpmmAccumulate(view, gamma[r], theta_data, num_clusters, begin, end, out);
   }
 }
 
@@ -230,11 +192,10 @@ void EmOptimizer::FusedSweep(const std::vector<double>& gamma,
     double* base = log_e + num_clusters;  // log theta_vk + log_norm_k
 
     // Link part of Eq. 10/11/12 as a typed-CSR SpMM: per relation r,
-    // new_theta rows of this block += gamma_r * (W_r Theta), one column
-    // shard at a time.
+    // new_theta rows of this block += gamma_r * (W_r Theta).
     std::fill(new_theta_data + begin * num_clusters,
               new_theta_data + end * num_clusters, 0.0);
-    AccumulateLinkTerm(gamma, theta_data, begin, end, ws, new_theta_data);
+    AccumulateLinkTerm(gamma, theta_data, begin, end, new_theta_data);
 
     double local_delta = 0.0;
     for (size_t vi = begin; vi < end; ++vi) {
@@ -478,7 +439,6 @@ double EmOptimizer::Step(const std::vector<double>& gamma, Matrix* theta,
   const size_t num_clusters = config_->num_clusters;
   const size_t num_blocks = NumBlocks();
   ws->Prepare(n, num_clusters, attributes_, num_blocks);
-  ws->PrepareSharding(*network_, config_->theta_shards);
   RebuildDerivedTables(*components, ws);
   if (n == 0) {
     // No blocks run below; clear the lone reduction slot by hand so a
@@ -487,7 +447,7 @@ double EmOptimizer::Step(const std::vector<double>& gamma, Matrix* theta,
     ws->block_delta_[0] = 0.0;
   }
 
-  // One K dispatch per sweep, with the same cases as SpmmRowsDispatch and
+  // One K dispatch per sweep, with the same cases as SpmmAccumulate and
   // InferSession::SweepRows.
   const double* theta_data = theta->data().data();
   switch (num_clusters) {

@@ -45,7 +45,6 @@
 #include "hin/attributes.h"
 #include "hin/network.h"
 #include "linalg/matrix.h"
-#include "linalg/sharding.h"
 
 namespace genclus {
 
@@ -93,12 +92,6 @@ class EmWorkspace {
                const std::vector<const Attribute*>& attributes,
                size_t num_blocks);
 
-  // (Re)builds the column-shard state — the resolved node partition and,
-  // when it has more than one shard, one CsrColumnSplit per relation — for
-  // the requested shard count (0 = auto). No-op when already built for
-  // this network shape and count.
-  void PrepareSharding(const Network& network, size_t requested_shards);
-
   size_t num_nodes_ = 0;
   size_t num_clusters_ = 0;
   size_t num_blocks_ = 0;
@@ -118,12 +111,6 @@ class EmWorkspace {
   std::vector<Matrix> beta_transpose_;
   // Hoisted Gaussian constants of each numerical attribute.
   std::vector<GaussianEvalTable> gaussians_;
-  // Column-shard state for the link term (see PrepareSharding).
-  // shard_splits_ is empty when the partition has a single shard — the
-  // sweep then takes the monolithic SpmmAccumulate path unchanged.
-  bool shard_ready_ = false;
-  ShardPartition shard_partition_;
-  std::vector<CsrColumnSplit> shard_splits_;  // indexed by LinkTypeId
 };
 
 /// Runs the EM loop of Algorithm 1's Step 1 for fixed gamma.
@@ -184,12 +171,10 @@ class EmOptimizer {
                   EmWorkspace* workspace) const;
 
   // Link part of the fused sweep: out rows [begin, end) +=
-  // sum_r gamma_r (W_r Theta), each relation computed per column shard in
-  // ascending shard order — bitwise identical to the unsharded product
-  // for every shard count (see linalg/sharding.h).
+  // sum_r gamma_r (W_r Theta), one SpmmAccumulate per relation.
   void AccumulateLinkTerm(const std::vector<double>& gamma,
                           const double* theta_data, size_t begin, size_t end,
-                          EmWorkspace* ws, double* out) const;
+                          double* out) const;
 
   // Rebuilds the per-step derived tables (beta transposes, Gaussian
   // constants) in the workspace from the current components.

@@ -136,11 +136,6 @@ Result<FitResult> Engine::RunAlgorithm1(
   model.objective = G1Objective(network, attrs, model.components,
                                 model.theta, gamma);
   model.gamma = std::move(gamma);
-  // Stamp the resolved shard count the fit ran with, so serving adopts
-  // the same partition by default and both model formats persist it.
-  model.theta_shards =
-      ShardPartition::Resolve(config.theta_shards, model.theta.rows())
-          .num_shards();
   model.link_types.reserve(num_relations);
   for (LinkTypeId r = 0; r < num_relations; ++r) {
     model.link_types.push_back(schema.link_type(r).name);
@@ -179,7 +174,7 @@ struct Engine::ServeState {
         model(model),
         pool(pool),
         options(options),
-        planner(network, model, options.theta_shards) {}
+        planner(network, model) {}
 
   const Network* network;
   const Model* model;

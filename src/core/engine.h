@@ -118,11 +118,6 @@ struct EngineOptions {
   size_t inference_iterations = ServeDefaults::kInferenceIterations;
   /// Floor applied to inferred membership probabilities.
   double theta_floor = ServeDefaults::kThetaFloor;
-  /// Θ column-shard count for the batch link term. 0 (default) adopts the
-  /// model's stamped `theta_shards`; any other value overrides it
-  /// (clamped like ShardPartition::Resolve). Served memberships are
-  /// bitwise identical for every choice.
-  size_t theta_shards = 0;
 };
 
 struct RefitOptions;  // core/update.h
@@ -201,10 +196,9 @@ class Engine {
   // iteration: EM over Theta/beta for fixed gamma on one shared
   // workspace, g1, then Newton over gamma and the gamma-change test; a
   // final g1 closes the run. Writes the result into `model` — stamping
-  // the resolved shard count and the schema's link-type names — and the
-  // run summary into the report; `config` must already be validated and
-  // `attrs` aligned with model.attributes. total_seconds is read from
-  // `timer`.
+  // the schema's link-type names — and the run summary into the report;
+  // `config` must already be validated and `attrs` aligned with
+  // model.attributes. total_seconds is read from `timer`.
   static Result<FitResult> RunAlgorithm1(
       const Dataset& dataset, const std::vector<const Attribute*>& attrs,
       const GenClusConfig& config, ProgressObserver* observer,

@@ -140,19 +140,14 @@ Status NewObjectObservation::Validate(const Model& model) const {
 // ---------------------------------------------------------------------------
 // BatchPlanner
 
-BatchPlanner::BatchPlanner(const Network* network, const Model* model,
-                           size_t theta_shards)
+BatchPlanner::BatchPlanner(const Network* network, const Model* model)
     : network_(network),
       model_(model),
-      model_status_(ValidateModelForServing(*network, *model)),
-      theta_partition_(ShardPartition::Resolve(
-          theta_shards == 0 ? model->theta_shards : theta_shards,
-          model->num_nodes())) {}
+      model_status_(ValidateModelForServing(*network, *model)) {}
 
 InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
   WallTimer timer;
   InferPlan plan;
-  plan.theta_partition = theta_partition_;
   std::vector<std::pair<uint32_t, double>> row_links;  // sort scratch
   plan.statuses.reserve(queries.size());
   plan.row_to_query.reserve(queries.size());
@@ -203,10 +198,9 @@ InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
       continue;
     }
     // Canonicalize the kept row: stable-sort its non-zeros by target
-    // column. This is the accumulation order the reference path uses too,
-    // and ascending columns are what lets the column-shard split replay
-    // the exact chain for any shard count. A row that already ascends
-    // (a network node's single-relation out-links) is left as it is.
+    // column. This is the accumulation order the reference path uses too.
+    // A row that already ascends (a network node's single-relation
+    // out-links) is left as it is.
     const size_t links_count = plan.link_cols.size() - links_start;
     const auto row_cols = plan.link_cols.begin() + links_start;
     if (links_count > 1 && !std::is_sorted(row_cols, plan.link_cols.end())) {
@@ -234,9 +228,6 @@ InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
     plan.observation_offsets.push_back(plan.observations.size());
     plan.total_links += query.links.size();
     plan.total_observations += query.observations.size();
-  }
-  if (theta_partition_.num_shards() > 1) {
-    plan.shard_split.Build(plan.links(), theta_partition_);
   }
   plan.plan_seconds = timer.Seconds();
   return plan;
@@ -327,27 +318,9 @@ void InferSession::ExecuteBlock(const InferPlan& plan, size_t block,
                                 size_t row_begin, size_t row_end,
                                 InferenceResult* out) {
   const size_t num_clusters = model_->num_clusters();
-  const CsrMatrixView links = plan.links();
-  const size_t num_shards = plan.theta_partition.num_shards();
-  if (num_shards > 1 && !plan.shard_split.empty()) {
-    // Per-shard link terms merged in ascending shard order — each row's
-    // chain replays the monolithic call's non-zero order bit for bit,
-    // while every shard gathers from only its own Θ block. The shard base
-    // comes from the plan's partition (the planner may override the
-    // model's stamped shard count, so Model::ShardThetaData would slice
-    // differently).
-    const double* theta = model_->theta.data().data();
-    for (size_t s = 0; s < num_shards; ++s) {
-      SpmmAccumulateShard(links, plan.shard_split, plan.theta_partition, s,
-                          1.0,
-                          theta + plan.theta_partition.begin(s) * num_clusters,
-                          num_clusters, row_begin, row_end,
-                          workspace_.link_part_.data().data());
-    }
-  } else {
-    SpmmAccumulate(links, 1.0, model_->theta.data().data(), num_clusters,
-                   row_begin, row_end, workspace_.link_part_.data().data());
-  }
+  SpmmAccumulate(plan.links(), 1.0, model_->theta.data().data(),
+                 num_clusters, row_begin, row_end,
+                 workspace_.link_part_.data().data());
   switch (num_clusters) {
     case 2:
       SweepRows<2>(plan, block, row_begin, row_end, out);
@@ -523,7 +496,7 @@ Result<std::vector<double>> InferMembership(
   // Link part is constant across sweeps: sum_e gamma w theta_target,
   // accumulated in stable ascending-target order — the canonical order
   // the batch planner sorts each CSR row into, so the two paths stay
-  // bitwise identical for every Θ shard count.
+  // bitwise identical.
   std::vector<size_t> order(links.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {

@@ -48,7 +48,6 @@
 #include "core/model.h"
 #include "hin/network.h"
 #include "linalg/matrix.h"
-#include "linalg/sharding.h"
 #include "linalg/spmm.h"
 #include "prob/simplex.h"
 
@@ -132,18 +131,11 @@ struct InferPlan {
   /// — the canonical accumulation order shared with the reference path
   /// (InferMembership sums its link part in the same stable
   /// ascending-target order), so SpMM output is bitwise identical to the
-  /// reference link term AND independent of how the columns are cut into
-  /// Θ shards. Duplicate links to the same target stay separate adjacent
-  /// non-zeros in their original relative order.
+  /// reference link term. Duplicate links to the same target stay
+  /// separate adjacent non-zeros in their original relative order.
   std::vector<size_t> row_offsets;  // num_rows() + 1
   std::vector<uint32_t> link_cols;
   std::vector<double> link_values;
-  /// Column-shard state of the link CSR: the planner's resolved Θ
-  /// partition, plus the per-row shard cuts when the partition has more
-  /// than one shard (Execute then merges per-shard link terms in
-  /// ascending shard order; otherwise it takes the monolithic path).
-  ShardPartition theta_partition;
-  CsrColumnSplit shard_split;
   /// Observations of the valid queries, flattened; row i's observations
   /// live at [observation_offsets[i], observation_offsets[i + 1]). Plan
   /// has checked each one's kind against the model, so execution never
@@ -211,13 +203,7 @@ struct InferenceResult {
 /// planner.
 class BatchPlanner {
  public:
-  /// `theta_shards` picks the column-shard count used to execute the
-  /// batch link term: 0 (default) adopts the model's stamped
-  /// `theta_shards`, any other value overrides it (clamped like
-  /// ShardPartition::Resolve). Served memberships are bitwise identical
-  /// for every choice.
-  BatchPlanner(const Network* network, const Model* model,
-               size_t theta_shards = 0);
+  BatchPlanner(const Network* network, const Model* model);
 
   /// Validates every query (per-query Status — one bad query never
   /// poisons the rest) and assembles the valid ones into the batch CSR.
@@ -228,8 +214,6 @@ class BatchPlanner {
   const Model* model_;
   /// Model-vs-network precondition; a failure marks every query.
   Status model_status_;
-  /// Resolved Θ column partition every plan carries.
-  ShardPartition theta_partition_;
 };
 
 /// Reusable per-session scratch of the batch execution path: the

@@ -1,6 +1,5 @@
 #include "core/model.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -52,12 +51,6 @@ Status Model::Validate() const {
     if (!std::isfinite(g) || g < 0.0) {
       return Status::InvalidArgument("model gamma must be finite and >= 0");
     }
-  }
-  if (theta_shards < 1 ||
-      theta_shards > std::max<size_t>(1, num_nodes())) {
-    return Status::InvalidArgument(StrFormat(
-        "model declares %zu theta shards for %zu nodes", theta_shards,
-        num_nodes()));
   }
   if (components.size() != attributes.size()) {
     return Status::InvalidArgument(StrFormat(

@@ -16,7 +16,6 @@
 #include "hin/attributes.h"
 #include "hin/network.h"
 #include "linalg/matrix.h"
-#include "linalg/sharding.h"
 
 namespace genclus {
 
@@ -72,28 +71,12 @@ struct Model {
   std::vector<ModelAttributeInfo> attributes;
   /// g1 objective at the final training iterate.
   double objective = 0.0;
-  /// Number of contiguous column (node-range) shards Θ is logically
-  /// partitioned into. The storage stays one dense row-major allocation —
-  /// shard s is the row block [ThetaPartition().begin(s), end(s)) — so
-  /// every dense accessor is unchanged and 1 shard ≡ the monolithic
-  /// layout. Stamped by Engine::Fit, persisted in the model file.
-  size_t theta_shards = 1;
   /// ApplyUpdates' kept component sums; never saved, validated or
   /// fingerprinted.
   RefreshCache refresh_cache;
 
   size_t num_clusters() const { return theta.cols(); }
   size_t num_nodes() const { return theta.rows(); }
-
-  /// The node-range partition implied by `theta_shards`.
-  ShardPartition ThetaPartition() const {
-    return ShardPartition(num_nodes(), theta_shards);
-  }
-  /// First Θ row of shard `s` (may point one-past-the-end for empty
-  /// trailing shards; never dereference beyond the shard's extent).
-  const double* ShardThetaData(size_t s) const {
-    return theta.data().data() + ThetaPartition().begin(s) * num_clusters();
-  }
 
   /// Hard labels: argmax_k theta(v, k).
   std::vector<uint32_t> HardLabels() const;

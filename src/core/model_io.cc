@@ -206,7 +206,7 @@ class ByteReader {
 };
 
 // Serializes everything after the 64-byte header: objective, link types
-// + gammas, components, the aligned shard table and the raw Θ blocks.
+// + gammas, components, the aligned Θ block table and the raw Θ rows.
 // Shared by SaveModelBinary and Model::Fingerprint, so the fingerprint
 // IS the container's payload checksum.
 std::vector<uint8_t> BuildModelPayload(const Model& model) {
@@ -245,37 +245,22 @@ std::vector<uint8_t> BuildModelPayload(const Model& model) {
     }
   }
 
-  // Shard table, then each shard's raw Θ block, all 64-byte aligned in
-  // the file. The header is itself 64 bytes, so aligning payload offsets
-  // aligns file offsets too.
-  const ShardPartition partition = model.ThetaPartition();
-  const size_t num_shards = partition.num_shards();
+  // A one-entry Θ block table {node_begin, node_count, file offset, byte
+  // count}, then Θ's raw rows, both 64-byte aligned in the file. The
+  // header is itself 64 bytes, so aligning payload offsets aligns file
+  // offsets too.
+  const size_t num_nodes = model.num_nodes();
+  const size_t theta_bytes = num_nodes * num_clusters * sizeof(double);
   PadTo(&payload, RoundUpTo(payload.size(), kBinaryAlignment));
-  struct ShardEntry {
-    uint64_t node_begin, node_count, theta_offset, theta_bytes;
-  };
-  std::vector<ShardEntry> table(num_shards);
-  size_t cursor = payload.size() + num_shards * sizeof(ShardEntry);
-  for (size_t s = 0; s < num_shards; ++s) {
-    cursor = RoundUpTo(cursor, kBinaryAlignment);
-    const size_t begin = partition.begin(s);
-    const size_t count = partition.end(s) - begin;
-    table[s] = {begin, count, kBinaryHeaderSize + cursor,
-                count * num_clusters * sizeof(double)};
-    cursor += table[s].theta_bytes;
-  }
-  for (const ShardEntry& entry : table) {
-    AppendScalar(&payload, entry.node_begin);
-    AppendScalar(&payload, entry.node_count);
-    AppendScalar(&payload, entry.theta_offset);
-    AppendScalar(&payload, entry.theta_bytes);
-  }
-  for (const ShardEntry& entry : table) {
-    PadTo(&payload, entry.theta_offset - kBinaryHeaderSize);
-    AppendBytes(&payload,
-                model.theta.data().data() + entry.node_begin * num_clusters,
-                entry.theta_bytes);
-  }
+  const size_t theta_offset =
+      RoundUpTo(payload.size() + 4 * sizeof(uint64_t), kBinaryAlignment);
+  AppendScalar(&payload, uint64_t{0});
+  AppendScalar(&payload, static_cast<uint64_t>(num_nodes));
+  AppendScalar(&payload,
+               static_cast<uint64_t>(kBinaryHeaderSize + theta_offset));
+  AppendScalar(&payload, static_cast<uint64_t>(theta_bytes));
+  PadTo(&payload, theta_offset);
+  AppendBytes(&payload, model.theta.data().data(), theta_bytes);
   return payload;
 }
 
@@ -302,7 +287,7 @@ Status SaveModelBinary(const Model& model, const std::string& path) {
   AppendScalar(&header, Fnv1a64(payload.data(), payload.size()));
   AppendScalar(&header, static_cast<uint64_t>(num_nodes));
   AppendScalar(&header, static_cast<uint64_t>(num_clusters));
-  AppendScalar(&header, static_cast<uint64_t>(model.theta_shards));
+  AppendScalar(&header, uint64_t{1});  // Θ block count
   PadTo(&header, kBinaryHeaderSize);  // reserved tail
 
   return CommitFileAtomic(path, {header, payload});
@@ -331,7 +316,7 @@ Result<Model> LoadModelBinary(const std::string& path) {
   uint64_t checksum = 0;
   uint64_t num_nodes64 = 0;
   uint64_t num_clusters64 = 0;
-  uint64_t num_shards64 = 0;
+  uint64_t num_blocks64 = 0;
   // Reads within the (size-checked) 64-byte header cannot fail.
   header.ReadScalar(&version);
   header.ReadScalar(&flags);
@@ -339,7 +324,7 @@ Result<Model> LoadModelBinary(const std::string& path) {
   header.ReadScalar(&checksum);
   header.ReadScalar(&num_nodes64);
   header.ReadScalar(&num_clusters64);
-  header.ReadScalar(&num_shards64);
+  header.ReadScalar(&num_blocks64);
   if (version != kBinaryVersion) {
     return bad("unsupported binary model format version");
   }
@@ -355,9 +340,9 @@ Result<Model> LoadModelBinary(const std::string& path) {
   // Model::Validate refuses K < 2 anyway; refusing it here keeps a zero K
   // away from the component constructors below.
   if (num_clusters < 2) return bad("cluster count must be >= 2");
-  if (num_shards64 < 1 ||
-      num_shards64 > std::max<uint64_t>(1, num_nodes64)) {
-    return bad("theta shard count out of range");
+  if (num_blocks64 < 1 ||
+      num_blocks64 > std::max<uint64_t>(1, num_nodes64)) {
+    return bad("theta block count out of range");
   }
   // Reject absurd extents before sizing Θ: every row must physically fit
   // in the payload, so a lying header cannot trigger a huge allocation.
@@ -366,7 +351,6 @@ Result<Model> LoadModelBinary(const std::string& path) {
   }
 
   Model model;
-  model.theta_shards = static_cast<size_t>(num_shards64);
   ByteReader reader(bytes, kBinaryHeaderSize);
   if (!reader.ReadScalar(&model.objective)) return bad("truncated objective");
 
@@ -443,14 +427,14 @@ Result<Model> LoadModelBinary(const std::string& path) {
     model.attributes.push_back(std::move(info));
   }
 
-  // Shard table at the next 64-byte boundary; entries must tile [0, n)
-  // in ascending order and each Θ block must lie inside the file.
+  // Θ block table at the next 64-byte boundary; its entries must tile
+  // [0, n) in ascending order, each block inside the file, into one Θ.
   if (!reader.SeekTo(RoundUpTo(reader.offset(), kBinaryAlignment))) {
-    return bad("truncated shard table");
+    return bad("truncated theta block table");
   }
   if (num_nodes > 0) model.theta = Matrix(num_nodes, num_clusters);
   uint64_t expected_begin = 0;
-  for (uint64_t s = 0; s < num_shards64; ++s) {
+  for (uint64_t b = 0; b < num_blocks64; ++b) {
     uint64_t node_begin = 0;
     uint64_t node_count = 0;
     uint64_t theta_offset = 0;
@@ -458,16 +442,16 @@ Result<Model> LoadModelBinary(const std::string& path) {
     if (!reader.ReadScalar(&node_begin) || !reader.ReadScalar(&node_count) ||
         !reader.ReadScalar(&theta_offset) ||
         !reader.ReadScalar(&theta_bytes)) {
-      return bad("truncated shard table");
+      return bad("truncated theta block table");
     }
     if (node_begin != expected_begin || node_count > num_nodes64 ||
         node_begin + node_count > num_nodes64) {
-      return bad("shard table does not tile the node range");
+      return bad("theta block table does not tile the node range");
     }
     expected_begin = node_begin + node_count;
     if (theta_bytes !=
         node_count * num_clusters64 * sizeof(double)) {
-      return bad("shard extent does not match its node count");
+      return bad("theta block extent does not match its node count");
     }
     if (theta_offset % kBinaryAlignment != 0) {
       return bad("misaligned theta block");
@@ -484,7 +468,7 @@ Result<Model> LoadModelBinary(const std::string& path) {
     }
   }
   if (expected_begin != num_nodes64) {
-    return bad("shard table does not tile the node range");
+    return bad("theta block table does not tile the node range");
   }
 
   GENCLUS_RETURN_IF_ERROR(model.Validate());

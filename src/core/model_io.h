@@ -10,7 +10,7 @@
 //     bytes 24..31  u64 FNV-1a 64 checksum of the payload bytes
 //     bytes 32..39  u64 num_nodes
 //     bytes 40..47  u64 num_clusters
-//     bytes 48..55  u64 num_shards (the model's Θ column-shard stamp)
+//     bytes 48..55  u64 Θ block count (SaveModelBinary writes 1)
 //     bytes 56..63  reserved, zero
 //   [payload]
 //     f64 objective
@@ -21,15 +21,17 @@
 //                   size (0 for numerical), then K x vocab f64 beta
 //                   rows (categorical) or K {mean, variance} f64 pairs
 //                   (numerical)
-//     shard table:  64-byte-aligned file offset; per shard u64
+//     Θ block table: 64-byte-aligned file offset; per block u64
 //                   node_begin, u64 node_count, u64 theta file offset,
 //                   u64 theta byte count
-//     Θ blocks:     per shard, at its recorded 64-byte-aligned offset,
+//     Θ blocks:     per block, at its recorded 64-byte-aligned offset,
 //                   node_count x K raw f64 rows
 //
 // Every section is written little-endian; Θ blocks are 64-byte aligned in
-// the file so a loaded (or memory-mapped) image can hand shard pointers
-// straight to the SpMM kernels. A round trip is bitwise exact: a model
+// the file so a loaded (or memory-mapped) image can hand Θ straight to
+// the SpMM kernels. SaveModelBinary writes Θ as one block; the loader
+// accepts any block count whose entries tile the node range in order and
+// assembles them into one dense Θ. A round trip is bitwise exact: a model
 // trained once answers queries with the same doubles after it is saved
 // and reloaded.
 #pragma once

@@ -119,9 +119,9 @@ struct Server::VersionedModel {
   uint64_t fingerprint;
 
   VersionedModel(const Network* network, std::shared_ptr<const Model> m,
-                 size_t theta_shards, uint64_t v)
+                 uint64_t v)
       : model(std::move(m)),
-        planner(network, model.get(), theta_shards),
+        planner(network, model.get()),
         version(v),
         fingerprint(model->Fingerprint()) {}
 };
@@ -169,7 +169,7 @@ Result<std::unique_ptr<Server>> Server::Create(
   GENCLUS_RETURN_IF_ERROR(options.Validate());
   GENCLUS_RETURN_IF_ERROR(model->ValidateAgainst(*network));
   auto first = std::make_shared<const VersionedModel>(
-      network, std::move(model), options.theta_shards, /*v=*/1);
+      network, std::move(model), /*v=*/1);
   return std::unique_ptr<Server>(new Server(network, std::move(first),
                                             options));
 }
@@ -232,8 +232,8 @@ Status Server::SwapModel(std::shared_ptr<const Model> model) {
   // Build the snapshot (planner + fingerprint — the expensive part)
   // outside the lock; only version assignment and publication are
   // serialized.
-  auto replacement = std::make_shared<VersionedModel>(
-      network_, std::move(model), options_.theta_shards, /*v=*/0);
+  auto replacement =
+      std::make_shared<VersionedModel>(network_, std::move(model), /*v=*/0);
   {
     MutexLock lock(model_mutex_);
     replacement->version = current_model_->version + 1;

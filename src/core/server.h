@@ -127,11 +127,6 @@ struct ServerOptions {
   size_t inference_iterations = ServeDefaults::kInferenceIterations;
   /// Floor applied to inferred membership probabilities.
   double theta_floor = ServeDefaults::kThetaFloor;
-  /// Θ column-shard count for the batch link term. 0 (default) adopts the
-  /// model's stamped `theta_shards`; any other value overrides it
-  /// (clamped like ShardPartition::Resolve). Served memberships are
-  /// bitwise identical for every choice.
-  size_t theta_shards = 0;
   /// Default per-request deadline budget in microseconds, applied to
   /// submissions that do not carry an explicit Deadline. 0 = no default
   /// (deadline-free requests never expire).

@@ -39,9 +39,7 @@ struct CsrMatrixView {
 /// `dense` and `out` are row-major with `k` columns; they must not alias.
 /// Each output row is accumulated as one left-to-right chain over the CSR
 /// non-zeros, resumed from the value already in `out`, so the result is
-/// bitwise independent of how callers partition the row range AND of how a
-/// row's non-zeros are split across consecutive calls (the column-sharded
-/// path in sharding.h relies on the latter).
+/// bitwise independent of how callers partition the row range.
 void SpmmAccumulate(const CsrMatrixView& a, double coeff, const double* dense,
                     size_t k, size_t row_begin, size_t row_end, double* out);
 

@@ -37,8 +37,8 @@ constexpr size_t kChecksumAt = 24;
 
 // K = 2, so that one bit flip or one written u64 can zero it; both
 // attribute kinds, the numerical one first so that a zeroed K reaches the
-// Gaussian section before anything else sizes from it; three nodes in two
-// Θ shards, so the shard table has two entries.
+// Gaussian section before anything else sizes from it; three nodes, saved
+// as SaveModelBinary saves every model: a one-entry Θ block table.
 Model MakeModel() {
   Model model;
   model.theta = Matrix(3, 2);
@@ -46,7 +46,6 @@ Model MakeModel() {
     model.theta(v, 0) = 0.2 + 0.3 * static_cast<double>(v);
     model.theta(v, 1) = 1.0 - model.theta(v, 0);
   }
-  model.theta_shards = 2;
   model.gamma = {0.5, 2.0};
   model.link_types = {"ab", "ba"};
   model.objective = -12.5;
@@ -140,7 +139,7 @@ TEST_F(ModelIoFuzzTest, TruncationAtEveryByte) {
     Check(seed_.substr(0, len), "truncation", len);
     Check(Restamp(seed_.substr(0, len)), "re-stamped truncation", len);
   }
-  // The last Θ block ends the file, so every cut loses part of it.
+  // Θ ends the file, so every cut loses part of it.
   EXPECT_EQ(accepted_, 0u);
 }
 

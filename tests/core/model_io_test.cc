@@ -1,8 +1,8 @@
 // Model persistence (SaveModelBinary/LoadModelBinary): bit-exact round
-// trips of trained models (including numerical-attribute Gaussians and
-// the Θ shard stamp), atomic saves, and clean Status errors — never
-// crashes — on truncated or corrupt files, bad magic, checksum
-// mismatches, unsupported versions and lying header counts.
+// trips of trained models (including numerical-attribute Gaussians),
+// loads of Θ written as several blocks, atomic saves, and clean Status
+// errors — never crashes — on truncated or corrupt files, bad magic,
+// checksum mismatches, unsupported versions and lying header counts.
 // model_io_fuzz_test runs the exhaustive mutation campaign.
 #include "core/model_io.h"
 
@@ -56,7 +56,6 @@ Model TrainPlantedModel() {
 void ExpectBitExact(const Model& a, const Model& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.num_clusters(), b.num_clusters());
-  EXPECT_EQ(a.theta_shards, b.theta_shards);
   EXPECT_EQ(a.theta.data(), b.theta.data());  // exact double equality
   EXPECT_EQ(a.gamma, b.gamma);
   EXPECT_EQ(a.link_types, b.link_types);
@@ -104,7 +103,7 @@ TEST(ModelIoBinaryTest, RoundTripIsBitExactOnPlantedFixture) {
 }
 
 // A hand-built K = 2 model with one numerical attribute (the planted
-// fixture is categorical-only) and one Θ shard.
+// fixture is categorical-only).
 Model MakeGaussianModel() {
   Model model;
   model.theta = Matrix(5, 2);
@@ -123,16 +122,13 @@ Model MakeGaussianModel() {
   return model;
 }
 
-TEST(ModelIoBinaryTest, RoundTripPreservesGaussiansAndShardStamp) {
-  Model model = MakeGaussianModel();
-  model.theta_shards = 2;  // Θ persists per shard: two blocks here
-
+TEST(ModelIoBinaryTest, RoundTripPreservesGaussians) {
+  const Model model = MakeGaussianModel();
   ScopedFile file(TempPath("genclus_model_gaussian.bin"));
   ASSERT_TRUE(SaveModelBinary(model, file.path()).ok());
   auto loaded = LoadModelBinary(file.path());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectBitExact(model, *loaded);
-  EXPECT_EQ(loaded->theta_shards, 2u);
 }
 
 TEST(ModelIoBinaryTest, SaveRejectsInvalidModel) {
@@ -330,6 +326,52 @@ std::string RestampChecksum(std::string bytes) {
   bytes.replace(24, sizeof(hash), reinterpret_cast<const char*>(&hash),
                 sizeof(hash));
   return bytes;
+}
+
+uint64_t ReadU64(const std::string& bytes, size_t at) {
+  uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+void WriteU64(std::string* bytes, size_t at, uint64_t value) {
+  std::memcpy(bytes->data() + at, &value, sizeof(value));
+}
+
+// Files may carry Θ as several node-range blocks (the header's Θ block
+// count, bytes 48..55, sizes the table). SaveModelBinary writes one block;
+// a file that splits the same Θ into two must load to the same model.
+TEST(ModelIoBinaryTest, LoadsThetaWrittenAsTwoBlocks) {
+  const Model model = MakeGaussianModel();
+  ScopedFile file(TempPath("genclus_model_two_blocks.bin"));
+  ASSERT_TRUE(SaveModelBinary(model, file.path()).ok());
+  std::string bytes = ReadFileBytes(file.path());
+  ASSERT_EQ(ReadU64(bytes, 48), 1u);
+
+  // Θ (5 x 2 doubles, 80 bytes) is the file's tail; the one-entry table
+  // {node_begin, node_count, file offset, byte count} starts 64 bytes
+  // before it, so two entries fit in front of Θ without moving it.
+  const size_t theta_bytes = 5 * 2 * sizeof(double);
+  const size_t theta_at = bytes.size() - theta_bytes;
+  const size_t table_at = theta_at - 64;
+  ASSERT_EQ(theta_at % 64, 0u);
+  ASSERT_EQ(ReadU64(bytes, table_at), 0u);
+  ASSERT_EQ(ReadU64(bytes, table_at + 8), 5u);
+  ASSERT_EQ(ReadU64(bytes, table_at + 16), theta_at);
+  ASSERT_EQ(ReadU64(bytes, table_at + 24), theta_bytes);
+
+  // Rows 0..3 (64 bytes) at Θ's offset, row 4 (16 bytes) 64 bytes later:
+  // both blocks stay 64-byte aligned.
+  const uint64_t table[8] = {0, 4, theta_at,      64,
+                             4, 1, theta_at + 64, 16};
+  for (size_t i = 0; i < 8; ++i) WriteU64(&bytes, table_at + 8 * i, table[i]);
+  WriteU64(&bytes, 48, 2);
+  WriteFileBytes(file.path(), RestampChecksum(std::move(bytes)));
+
+  auto loaded = LoadModelBinary(file.path());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectBitExact(model, *loaded);
+  EXPECT_EQ(loaded->Fingerprint(), model.Fingerprint());
 }
 
 TEST(ModelValidateTest, RefusesRowsOffTheSimplex) {

@@ -248,44 +248,6 @@ TEST_F(ServeBatchFixture, PlanStableSortsEachRowByTargetColumn) {
                                  gamma_dd * 5.0, gamma_dd * 7.0}));
 }
 
-TEST_F(ServeBatchFixture, ExecutionIsBitwiseInvariantToThetaShardCount) {
-  // The same batch served through 1, 2 and 4 Θ column shards (and a
-  // sharded planner over an auto-stamped model) must produce bitwise
-  // identical memberships — the per-shard link terms merge in ascending
-  // shard order, replaying the monolithic accumulation chain.
-  std::vector<NewObjectQuery> queries(9);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    NewObjectQuery& q = queries[i];
-    q.links.push_back({fixture_->docs[(i * 3) % 16], fixture_->doc_doc,
-                       1.0 + 0.25 * static_cast<double>(i)});
-    q.links.push_back({fixture_->docs[15 - i % 16], fixture_->doc_doc, 2.0});
-    q.links.push_back({fixture_->tags[i % 2], fixture_->doc_tag, 1.5});
-    if (i % 2 == 0) {
-      q.observations.push_back(
-          NewObjectObservation::Categorical(0, i % 4, 1.0 + i));
-    }
-  }
-  Matrix baseline;
-  for (size_t shards : {1, 2, 4}) {
-    EngineOptions options;
-    options.num_threads = 2;
-    options.theta_shards = shards;
-    auto engine =
-        Engine::Create(&fixture_->dataset.network, *model_, options);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    const InferenceResult result = engine->Execute(engine->Plan(queries));
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_TRUE(result.ok(i)) << "shards " << shards << " query " << i;
-    }
-    if (shards == 1) {
-      baseline = result.memberships;
-      continue;
-    }
-    EXPECT_EQ(result.memberships.data(), baseline.data())
-        << "shards " << shards;
-  }
-}
-
 TEST_F(ServeBatchFixture, ExecuteReportsBatchStatsAndBlocks) {
   Engine engine = MakeEngine(2);
   std::vector<NewObjectQuery> queries(ServeDefaults::kBatchBlockGrain + 3);

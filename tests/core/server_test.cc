@@ -373,46 +373,39 @@ TEST_F(ServerTest, ServerDestructionWithPendingSubmitBatchIsSafe) {
   }
 }
 
-TEST_F(ServerTest, AnswersBitwiseInvariantToThetaShardsAndWorkers) {
-  // Served answers must be bitwise identical across every Θ shard count x
-  // worker count combination: the per-shard link terms merge in ascending
-  // shard order, replaying the monolithic accumulation chain exactly, and
-  // each query's sweep is independent of how micro-batches form.
+TEST_F(ServerTest, AnswersBitwiseInvariantToWorkerCount) {
+  // Served answers must be bitwise identical for every worker count: each
+  // query's sweep is independent of how micro-batches form.
   QueryPool pool = MakeQueryPool(10);
   std::vector<QueryResult> baseline;
-  for (size_t shards : {1, 2, 4}) {
-    for (size_t workers : {1, 2, 8}) {
-      ServerOptions options;
-      options.num_workers = workers;
-      options.theta_shards = shards;
-      auto server = MakeServer(options);
-      std::vector<std::future<QueryResult>> futures;
-      for (const NewObjectQuery& q : pool.queries) {
-        auto submitted = server->Submit(q);
-        ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
-        futures.push_back(std::move(submitted).value());
-      }
-      std::vector<QueryResult> answers;
-      for (std::future<QueryResult>& f : futures) {
-        answers.push_back(f.get());
-      }
-      if (baseline.empty()) {
-        for (size_t i = 0; i < answers.size(); ++i) {
-          ExpectMatchesReference(answers[i], pool.reference[i]);
-        }
-        baseline = std::move(answers);
-        continue;
-      }
+  for (size_t workers : {1, 2, 8}) {
+    ServerOptions options;
+    options.num_workers = workers;
+    auto server = MakeServer(options);
+    std::vector<std::future<QueryResult>> futures;
+    for (const NewObjectQuery& q : pool.queries) {
+      auto submitted = server->Submit(q);
+      ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+      futures.push_back(std::move(submitted).value());
+    }
+    std::vector<QueryResult> answers;
+    for (std::future<QueryResult>& f : futures) {
+      answers.push_back(f.get());
+    }
+    if (baseline.empty()) {
       for (size_t i = 0; i < answers.size(); ++i) {
-        EXPECT_EQ(answers[i].status, baseline[i].status)
-            << "shards " << shards << " workers " << workers << " query "
-            << i;
-        // Bitwise: EXPECT_EQ on the double vectors, no tolerance.
-        EXPECT_EQ(answers[i].membership, baseline[i].membership)
-            << "shards " << shards << " workers " << workers << " query "
-            << i;
-        EXPECT_EQ(answers[i].hard_label, baseline[i].hard_label);
+        ExpectMatchesReference(answers[i], pool.reference[i]);
       }
+      baseline = std::move(answers);
+      continue;
+    }
+    for (size_t i = 0; i < answers.size(); ++i) {
+      EXPECT_EQ(answers[i].status, baseline[i].status)
+          << "workers " << workers << " query " << i;
+      // Bitwise: EXPECT_EQ on the double vectors, no tolerance.
+      EXPECT_EQ(answers[i].membership, baseline[i].membership)
+          << "workers " << workers << " query " << i;
+      EXPECT_EQ(answers[i].hard_label, baseline[i].hard_label);
     }
   }
 }

@@ -6,7 +6,7 @@
 //   * on a weather deployment, a two-iteration warm Refit reaches the
 //     cold fit's NMI minus 0.01 at no more than half of its EM sweeps
 //     (initialization included), with a Model::Fingerprint that is the
-//     same for every thread and Θ shard count;
+//     same for every thread count;
 //   * a warm start from the converged model on the SAME dataset converges
 //     (nearly) immediately — the degenerate refit every nightly job hits
 //     when nothing arrived;
@@ -449,26 +449,18 @@ TEST_F(RefitCostTest, WarmRefitReachesColdNmiAtHalfTheSweeps) {
       << "cold=" << cold_nmi << " warm=" << warm_nmi;
 }
 
-// The warm refit does not depend on the execution geometry.
-// `theta_shards` is serving metadata stamped from the config, so it is
-// set to the reference's before the fingerprints are compared.
-TEST_F(RefitCostTest, FingerprintIsInvariantToThreadsAndShards) {
+// The warm refit does not depend on the pool size.
+TEST_F(RefitCostTest, FingerprintIsInvariantToThreadCount) {
   auto reference = Engine::Refit(*full_, *base_model_, WarmOptions());
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  const Model& expected = reference.value().model;
+  const uint64_t expected = reference.value().model.Fingerprint();
   for (size_t threads : {1u, 2u}) {
-    for (size_t shards : {1u, 2u}) {
-      SCOPED_TRACE(::testing::Message() << threads << " threads, " << shards
-                                        << " shards");
-      RefitOptions options = WarmOptions();
-      options.config.num_threads = threads;
-      options.config.theta_shards = shards;
-      auto refit = Engine::Refit(*full_, *base_model_, options);
-      ASSERT_TRUE(refit.ok()) << refit.status().ToString();
-      Model model = std::move(refit).value().model;
-      model.theta_shards = expected.theta_shards;
-      EXPECT_EQ(model.Fingerprint(), expected.Fingerprint());
-    }
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    RefitOptions options = WarmOptions();
+    options.config.num_threads = threads;
+    auto refit = Engine::Refit(*full_, *base_model_, options);
+    ASSERT_TRUE(refit.ok()) << refit.status().ToString();
+    EXPECT_EQ(refit.value().model.Fingerprint(), expected);
   }
 }
 
