@@ -1,14 +1,15 @@
 // Serving-tier throughput/latency bench for core/server.h. perfbench's
 // inference.* layers time the raw Plan/Execute pipeline; this bench
 // measures the tier wrapped around it — bounded queue, micro-batching
-// admission loop and per-worker sessions — and writes BENCH_server.json.
+// admission loop and workers sharing one ServeCore per model snapshot —
+// and writes BENCH_server.json.
 //
 // Phases (weather Setting 1 fixture):
 //   serial     one query at a time through Plan/Execute on one thread —
 //              the old per-request Submit behavior under its global
 //              execution mutex; the baseline qps.
 //   saturated  closed-loop flood from 4 producers through a Server with
-//              --workers workers; micro-batching + concurrent sessions
+//              --workers workers; micro-batching + concurrent workers
 //              give the tier its throughput. Best-of --reps.
 //   poisson    open-loop arrivals at 0.6x the saturated rate; per-query
 //              enqueue-to-delivery latency percentiles (p50/p90/p99).

@@ -448,7 +448,7 @@ double EmOptimizer::Step(const std::vector<double>& gamma, Matrix* theta,
   }
 
   // One K dispatch per sweep, with the same cases as SpmmAccumulate and
-  // InferSession::SweepRows.
+  // ServeCore::SweepRows.
   const double* theta_data = theta->data().data();
   switch (num_clusters) {
     case 2:

@@ -5,11 +5,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/logging.h"
-#include "common/mutex.h"
 #include "common/random.h"
-#include "common/thread_annotations.h"
 #include "common/string_util.h"
 #include "core/em.h"
 #include "core/init.h"
@@ -162,64 +159,11 @@ Result<FitResult> Engine::Fit(const Dataset& dataset,
                        options.cancellation, std::move(model), timer);
 }
 
-// Batch planner plus a pool of InferSessions. Sessions are created
-// lazily, one per concurrent Execute caller, and recycled through the
-// free list — each owns its own ServeWorkspace, so concurrent batches
-// execute in parallel with no global execution mutex (ParallelFor tracks
-// completion per call, so sessions may share the engine's thread pool).
-struct Engine::ServeState {
-  ServeState(const Network* network, const Model* model, ThreadPool* pool,
-             const EngineOptions& options)
-      : network(network),
-        model(model),
-        pool(pool),
-        options(options),
-        planner(network, model) {}
-
-  const Network* network;
-  const Model* model;
-  ThreadPool* pool;
-  EngineOptions options;
-  BatchPlanner planner;
-
-  Mutex session_mutex;
-  std::vector<std::unique_ptr<InferSession>> free_sessions
-      GENCLUS_GUARDED_BY(session_mutex);
-
-  std::unique_ptr<InferSession> AcquireSession()
-      GENCLUS_EXCLUDES(session_mutex) {
-    {
-      MutexLock lock(session_mutex);
-      if (!free_sessions.empty()) {
-        std::unique_ptr<InferSession> session =
-            std::move(free_sessions.back());
-        free_sessions.pop_back();
-        return session;
-      }
-    }
-    return std::make_unique<InferSession>(
-        model, pool, options.inference_iterations, options.theta_floor);
-  }
-
-  void ReleaseSession(std::unique_ptr<InferSession> session)
-      GENCLUS_EXCLUDES(session_mutex) {
-    MutexLock lock(session_mutex);
-    free_sessions.push_back(std::move(session));
-  }
-};
-
-Engine::Engine(Engine&&) noexcept = default;
-Engine& Engine::operator=(Engine&&) noexcept = default;
-Engine::~Engine() = default;
-
 Engine::Engine(const Network* network, std::unique_ptr<Model> model,
-               EngineOptions options)
-    : network_(network),
-      model_(std::move(model)),
-      options_(options),
-      pool_(std::make_unique<ThreadPool>(options.num_threads)),
-      serve_(std::make_unique<ServeState>(network_, model_.get(),
-                                          pool_.get(), options_)) {}
+               size_t num_threads)
+    : model_(std::move(model)),
+      core_(network, model_.get()),
+      pool_(std::make_unique<ThreadPool>(num_threads)) {}
 
 Result<Engine> Engine::Create(const Network* network, Model model,
                               EngineOptions options) {
@@ -227,28 +171,16 @@ Result<Engine> Engine::Create(const Network* network, Model model,
     return Status::InvalidArgument("network must not be null");
   }
   GENCLUS_RETURN_IF_ERROR(model.ValidateAgainst(*network));
-  if (options.inference_iterations < 1) {
-    return Status::InvalidArgument("inference_iterations must be >= 1");
-  }
-  if (!(options.theta_floor > 0.0)) {
-    return Status::InvalidArgument("theta_floor must be > 0");
-  }
   return Engine(network, std::make_unique<Model>(std::move(model)),
-                options);
+                options.num_threads);
 }
 
 InferPlan Engine::Plan(std::span<const NewObjectQuery> queries) const {
-  return serve_->planner.Plan(queries);
+  return core_.Plan(queries);
 }
 
 InferenceResult Engine::Execute(const InferPlan& plan) const {
-  // Check a session out of the pool (or build one for a new concurrency
-  // level) and return it afterwards; an exception drops the session
-  // instead of recycling it, which is safe — just slower next time.
-  std::unique_ptr<InferSession> session = serve_->AcquireSession();
-  InferenceResult result = session->Execute(plan);
-  serve_->ReleaseSession(std::move(session));
-  return result;
+  return core_.Execute(plan, pool_.get());
 }
 
 Result<std::vector<double>> Engine::Infer(const NewObjectQuery& query) const {

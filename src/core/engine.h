@@ -9,8 +9,9 @@
 // (ProgressObserver / CancellationToken).
 //
 // Serving: Engine::Create(network, model) builds a reusable serving object
-// that owns a ThreadPool and answers membership queries for new objects
-// via the Eq. 10/11 fold-in update, batch-planned (core/inference.h):
+// that owns a ThreadPool and the model's ServeCore (core/inference.h) and
+// answers membership queries for new objects via the Eq. 10/11 fold-in
+// update, batch-planned:
 //
 //   InferPlan plan = engine.Plan(queries);     // validate + assemble CSR
 //   InferenceResult result = engine.Execute(plan);
@@ -20,13 +21,12 @@
 // query x node CSR. Execute routes the whole batch's link term through
 // the SpMM kernel and runs the attribute sweeps over fixed-grain query
 // blocks on the engine's pool; results are bitwise identical to the
-// per-query InferMembership reference and to any thread count. Concurrent
-// Execute calls run in parallel, each on its own pooled InferSession
-// (own ServeWorkspace) — there is no global execution mutex. Callers that
-// want per-query submission with bounded-queue backpressure run the
-// micro-batching serving tier (core/server.h) directly.
-// Infer/InferBatch remain as thin wrappers over a one-query / one-shot
-// plan.
+// per-query InferMembership reference and to any thread count. The core
+// is immutable and every Execute owns its scratch, so concurrent Execute
+// calls run in parallel with no lock at all. Callers that want per-query
+// submission with bounded-queue backpressure run the micro-batching
+// serving tier (core/server.h) directly. Infer/InferBatch remain as thin
+// wrappers over a one-query / one-shot plan.
 #pragma once
 
 #include <memory>
@@ -109,21 +109,17 @@ struct FitResult {
   FitReport report;
 };
 
-/// Serving-side knobs. Defaults come from ServeDefaults
-/// (core/inference.h) — the single source the reference path uses too.
+/// Serving-side knobs. Every answer runs ServeDefaults' sweep count and
+/// floor (core/inference.h), the values the reference path defaults to.
 struct EngineOptions {
   /// Worker threads for batch execution. 0 = hardware concurrency.
   size_t num_threads = 0;
-  /// Fixed-point sweeps per query (see InferMembership).
-  size_t inference_iterations = ServeDefaults::kInferenceIterations;
-  /// Floor applied to inferred membership probabilities.
-  double theta_floor = ServeDefaults::kThetaFloor;
 };
 
 struct RefitOptions;  // core/update.h
 
 /// Reusable serving object: a Network + trained Model + thread pool +
-/// batch planner/session. The network must outlive the engine; the model
+/// the model's ServeCore. The network must outlive the engine; the model
 /// is owned.
 class Engine {
  public:
@@ -147,13 +143,6 @@ class Engine {
   static Result<Engine> Create(const Network* network, Model model,
                                EngineOptions options = {});
 
-  // Out-of-line (ServeState is incomplete here).
-  Engine(Engine&&) noexcept;
-  Engine& operator=(Engine&&) noexcept;
-  ~Engine();
-  Engine(const Engine&) = delete;
-  Engine& operator=(const Engine&) = delete;
-
   const Model& model() const { return *model_; }
   size_t num_threads() const { return pool_->num_threads(); }
 
@@ -164,9 +153,9 @@ class Engine {
 
   /// Executes a plan this engine produced: one SpMM pass for the batch
   /// link term plus blocked attribute sweeps over the pool. Concurrent
-  /// calls execute in parallel, each on its own pooled InferSession;
-  /// results are bitwise identical to per-query InferMembership for any
-  /// thread count.
+  /// calls execute in parallel on the one core, each with its own
+  /// scratch; results are bitwise identical to per-query InferMembership
+  /// for any thread count.
   InferenceResult Execute(const InferPlan& plan) const;
 
   /// Answers one fold-in query — a thin wrapper over a one-query plan.
@@ -178,10 +167,8 @@ class Engine {
       std::span<const NewObjectQuery> queries) const;
 
  private:
-  struct ServeState;
-
   Engine(const Network* network, std::unique_ptr<Model> model,
-         EngineOptions options);
+         size_t num_threads);
 
   // Shared by Fit and Refit (core/update.cc): resolves the attribute-name
   // subset against the dataset and records the model-side attribute info.
@@ -205,16 +192,10 @@ class Engine {
       const CancellationToken* cancellation, Model model,
       const WallTimer& timer);
 
-  const Network* network_;
-  // Heap-held so the planner/session pointers into the model survive
-  // Engine moves.
+  // Heap-held so core_'s pointer into the model survives Engine moves.
   std::unique_ptr<Model> model_;
-  EngineOptions options_;
+  ServeCore core_;
   std::unique_ptr<ThreadPool> pool_;
-  // Planner plus the recycled InferSession pool (one session per
-  // concurrent Execute caller); defined in engine.cc. Declared last so it
-  // is destroyed while model_ and pool_ are still alive.
-  std::unique_ptr<ServeState> serve_;
 };
 
 }  // namespace genclus

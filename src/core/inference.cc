@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/check.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 
@@ -13,8 +12,8 @@ namespace genclus {
 
 namespace {
 
-// Model-vs-network precondition shared by the reference path and the
-// planner; a per-query path returns it per query, the planner computes it
+// Model-vs-network precondition shared by the reference path and
+// ServeCore; a per-query path returns it per query, a core computes it
 // once per (network, model) pair.
 Status ValidateModelForServing(const Network& network, const Model& model) {
   if (model.theta.cols() < 2) {
@@ -50,7 +49,7 @@ Status ValidateLink(const Network& network, const NewObjectLink& link) {
 }
 
 // First-error validation of one query, in the reference path's order:
-// links before observations. Used by InferMembership; BatchPlanner::Plan
+// links before observations. Used by InferMembership; ServeCore::Plan
 // fuses the SAME per-item checks and ordering into its assembly loop, so
 // a query fails with the same status on either path — keep the two in
 // sync (serve_batch_test pins the status equality).
@@ -138,14 +137,25 @@ Status NewObjectObservation::Validate(const Model& model) const {
 }
 
 // ---------------------------------------------------------------------------
-// BatchPlanner
+// ServeCore
 
-BatchPlanner::BatchPlanner(const Network* network, const Model* model)
+ServeCore::ServeCore(const Network* network, const Model* model)
     : network_(network),
       model_(model),
-      model_status_(ValidateModelForServing(*network, *model)) {}
+      model_status_(ValidateModelForServing(*network, *model)),
+      beta_transpose_(model->components.size()),
+      gaussians_(model->components.size()) {
+  for (size_t a = 0; a < model->components.size(); ++a) {
+    const AttributeComponents& comp = model->components[a];
+    if (comp.kind() == AttributeKind::kCategorical) {
+      beta_transpose_[a] = comp.beta().Transpose();
+    } else {
+      gaussians_[a].Rebuild(comp);
+    }
+  }
+}
 
-InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
+InferPlan ServeCore::Plan(std::span<const NewObjectQuery> queries) const {
   WallTimer timer;
   InferPlan plan;
   std::vector<std::pair<uint32_t, double>> row_links;  // sort scratch
@@ -233,111 +243,66 @@ InferPlan BatchPlanner::Plan(std::span<const NewObjectQuery> queries) const {
   return plan;
 }
 
-// ---------------------------------------------------------------------------
-// ServeWorkspace
-
-void ServeWorkspace::PrepareModel(const Model& model) {
-  if (prepared_for_ == &model) return;
-  const size_t num_attributes = model.components.size();
-  beta_transpose_.assign(num_attributes, Matrix());
-  gaussians_.assign(num_attributes, GaussianEvalTable());
-  for (size_t a = 0; a < num_attributes; ++a) {
-    const AttributeComponents& comp = model.components[a];
-    if (comp.kind() == AttributeKind::kCategorical) {
-      beta_transpose_[a] = comp.beta().Transpose();
-    } else {
-      gaussians_[a].Rebuild(comp);
-    }
-  }
-  prepared_for_ = &model;
-}
-
-void ServeWorkspace::PrepareBatch(size_t num_rows, size_t num_clusters,
-                                  size_t num_blocks) {
-  if (link_part_.rows() != num_rows || link_part_.cols() != num_clusters) {
-    link_part_ = Matrix(num_rows, num_clusters);
-  } else {
-    std::fill(link_part_.data().begin(), link_part_.data().end(), 0.0);
-  }
-  if (block_scratch_.size() < num_blocks) {
-    block_scratch_.resize(num_blocks);
-  }
-  for (size_t b = 0; b < num_blocks; ++b) {
-    block_scratch_[b].kbuf.resize(4 * num_clusters);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// InferSession
-
-InferSession::InferSession(const Model* model, ThreadPool* pool,
-                           size_t iterations, double theta_floor)
-    : model_(model),
-      pool_(pool),
-      iterations_(iterations),
-      theta_floor_(theta_floor) {}
-
-InferenceResult InferSession::Execute(const InferPlan& plan) {
+InferenceResult ServeCore::Execute(const InferPlan& plan, ThreadPool* pool,
+                                   size_t iterations,
+                                   double theta_floor) const {
   WallTimer timer;
   const size_t num_queries = plan.num_queries();
   const size_t num_rows = plan.num_rows();
   const size_t num_clusters = model_->num_clusters();
   const size_t grain = ServeDefaults::kBatchBlockGrain;
-  const size_t num_blocks = num_rows == 0 ? 0 : (num_rows + grain - 1) / grain;
 
   InferenceResult out;
   out.statuses = plan.statuses;
   out.memberships = Matrix(num_queries, num_clusters);
   out.hard_labels.assign(num_queries, kNoHardLabel);
 
-  if (num_rows > 0) {
-    workspace_.PrepareModel(*model_);
-    workspace_.PrepareBatch(num_rows, num_clusters, num_blocks);
-    // One pass over fixed-grain query blocks: SpMM fills the block's
-    // link-term rows while they are hot, then the block's queries sweep.
-    // Per-row SpMM accumulation order is the CSR non-zero order and every
-    // query's sweep touches only its own state, so any block scheduling
-    // yields bitwise identical results.
-    ForEachFixedGrainBlock(pool_, num_rows, grain,
-                           [&](size_t block, size_t begin, size_t end) {
-                             ExecuteBlock(plan, block, begin, end, &out);
-                           });
-  }
+  // This call's link term Σ_r γ_r (Q_r Θ), num_rows x K. One pass over
+  // fixed-grain query blocks: SpMM fills the block's link-term rows while
+  // they are hot, then the block's queries sweep, dispatched to a
+  // K-specialized instantiation for common cluster counts like the SpMM
+  // kernel (unrolling never reorders a floating-point op). Per-row SpMM
+  // accumulation order is the CSR non-zero order and every query's sweep
+  // touches only its own state, so any block scheduling yields bitwise
+  // identical results.
+  Matrix link_part(num_rows, num_clusters);
+  ForEachFixedGrainBlock(pool, num_rows, grain, [&](size_t /*block*/,
+                                                    size_t begin,
+                                                    size_t end) {
+    SpmmAccumulate(plan.links(), 1.0, model_->theta.data().data(),
+                   num_clusters, begin, end, link_part.data().data());
+    switch (num_clusters) {
+      case 2:
+        SweepRows<2>(plan, link_part, begin, end, iterations, theta_floor,
+                     &out);
+        break;
+      case 3:
+        SweepRows<3>(plan, link_part, begin, end, iterations, theta_floor,
+                     &out);
+        break;
+      case 4:
+        SweepRows<4>(plan, link_part, begin, end, iterations, theta_floor,
+                     &out);
+        break;
+      case 8:
+        SweepRows<8>(plan, link_part, begin, end, iterations, theta_floor,
+                     &out);
+        break;
+      default:
+        SweepRows<-1>(plan, link_part, begin, end, iterations, theta_floor,
+                      &out);
+        break;
+    }
+  });
 
   out.report.batch_size = num_queries;
   out.report.valid_queries = num_rows;
   out.report.total_links = plan.total_links;
   out.report.total_observations = plan.total_observations;
-  out.report.exec_blocks = num_blocks;
+  out.report.exec_blocks = (num_rows + grain - 1) / grain;
   out.report.plan_seconds = plan.plan_seconds;
   out.report.exec_seconds = timer.Seconds();
   return out;
-}
-
-void InferSession::ExecuteBlock(const InferPlan& plan, size_t block,
-                                size_t row_begin, size_t row_end,
-                                InferenceResult* out) {
-  const size_t num_clusters = model_->num_clusters();
-  SpmmAccumulate(plan.links(), 1.0, model_->theta.data().data(),
-                 num_clusters, row_begin, row_end,
-                 workspace_.link_part_.data().data());
-  switch (num_clusters) {
-    case 2:
-      SweepRows<2>(plan, block, row_begin, row_end, out);
-      break;
-    case 3:
-      SweepRows<3>(plan, block, row_begin, row_end, out);
-      break;
-    case 4:
-      SweepRows<4>(plan, block, row_begin, row_end, out);
-      break;
-    case 8:
-      SweepRows<8>(plan, block, row_begin, row_end, out);
-      break;
-    default:
-      SweepRows<-1>(plan, block, row_begin, row_end, out);
-      break;
-  }
 }
 
 // The attribute fixed-point sweeps for one block's query rows. Mirrors
@@ -349,22 +314,31 @@ void InferSession::ExecuteBlock(const InferPlan& plan, size_t block,
 // exp(0) = 1 — is never evaluated, and common cluster counts get fully
 // unrolled instantiations.
 template <int kFixedK>
-void InferSession::SweepRows(const InferPlan& plan, size_t block,
-                             size_t row_begin, size_t row_end,
-                             InferenceResult* out) {
+void ServeCore::SweepRows(const InferPlan& plan, const Matrix& link_part,
+                          size_t row_begin, size_t row_end,
+                          size_t iterations, double theta_floor,
+                          InferenceResult* out) const {
   const size_t num_clusters = kFixedK > 0
                                   ? static_cast<size_t>(kFixedK)
                                   : model_->num_clusters();
-  ServeWorkspace::BlockScratch& scratch = workspace_.block_scratch_[block];
-  GENCLUS_DCHECK(scratch.kbuf.size() >= 4 * num_clusters);
-  double* theta = scratch.kbuf.data();
+  // Per-row theta/mix/responsibilities/log-theta, 4 x K doubles: a local
+  // array the compiler can keep in registers when K is fixed, one heap
+  // buffer for the block otherwise.
+  double fixed_kbuf[kFixedK > 0 ? 4 * kFixedK : 1] = {};
+  std::vector<double> runtime_kbuf(kFixedK > 0 ? 0 : 4 * num_clusters);
+  double* theta = kFixedK > 0 ? fixed_kbuf : runtime_kbuf.data();
   double* mix = theta + num_clusters;
   double* resp = mix + num_clusters;
   double* log_theta = resp + num_clusters;
+  // The block's resolved observations and the per-query cache of
+  // sweep-invariant Gaussian log-densities (one K-row per numerical
+  // observation), reused across its rows.
+  std::vector<ObsRef> obs_refs;
+  std::vector<double> log_pdfs;
 
-  const size_t sweeps = std::max<size_t>(1, iterations_);
+  const size_t sweeps = std::max<size_t>(1, iterations);
   for (size_t row = row_begin; row < row_end; ++row) {
-    const double* link_row = workspace_.link_part_.Row(row);
+    const double* link_row = link_part.Row(row);
     const size_t obs_begin = plan.observation_offsets[row];
     const size_t obs_end = plan.observation_offsets[row + 1];
     const size_t num_obs = obs_end - obs_begin;
@@ -374,21 +348,20 @@ void InferSession::SweepRows(const InferPlan& plan, size_t block,
     // evaluated here and reused by every sweep; categorical observations
     // resolve to their term-major beta row. The sweep loop then reads
     // flat descriptors instead of chasing model components per sweep.
-    if (scratch.log_pdf.size() < num_obs * num_clusters) {
-      scratch.log_pdf.resize(num_obs * num_clusters);
+    if (log_pdfs.size() < num_obs * num_clusters) {
+      log_pdfs.resize(num_obs * num_clusters);
     }
-    if (scratch.obs.size() < num_obs) scratch.obs.resize(num_obs);
+    if (obs_refs.size() < num_obs) obs_refs.resize(num_obs);
     for (size_t j = 0; j < num_obs; ++j) {
       const NewObjectObservation& obs = plan.observations[obs_begin + j];
-      ServeWorkspace::ObsRef& ref = scratch.obs[j];
+      ObsRef& ref = obs_refs[j];
       if (obs.kind == AttributeKind::kCategorical) {
         ref.categorical = true;
         ref.count = obs.count;
-        ref.data = workspace_.beta_transpose_[obs.attribute].Row(obs.term);
+        ref.data = beta_transpose_[obs.attribute].Row(obs.term);
       } else {
-        const GaussianEvalTable& table =
-            workspace_.gaussians_[obs.attribute];
-        double* log_pdf = scratch.log_pdf.data() + j * num_clusters;
+        const GaussianEvalTable& table = gaussians_[obs.attribute];
+        double* log_pdf = log_pdfs.data() + j * num_clusters;
         for (size_t k = 0; k < num_clusters; ++k) {
           log_pdf[k] = table.LogPdf(k, obs.value);
         }
@@ -403,7 +376,7 @@ void InferSession::SweepRows(const InferPlan& plan, size_t block,
       std::copy(link_row, link_row + num_clusters, mix);
       bool log_theta_ready = false;
       for (size_t j = 0; j < num_obs; ++j) {
-        const ServeWorkspace::ObsRef& obs = scratch.obs[j];
+        const ObsRef& obs = obs_refs[j];
         if (obs.categorical) {
           const double* beta_term = obs.data;
           double total = 0.0;
@@ -460,7 +433,7 @@ void InferSession::SweepRows(const InferPlan& plan, size_t block,
         }
       }
       NormalizeToSimplex(mix, num_clusters);
-      ClampToSimplex(mix, num_clusters, theta_floor_);
+      ClampToSimplex(mix, num_clusters, theta_floor);
       // Fused max-|delta| + swap: after this loop `theta` holds the new
       // iterate and `mix` the old one (overwritten next sweep).
       double delta = 0.0;

@@ -10,30 +10,33 @@
 //   * InferMembership — the per-query reference path: validates one
 //     query, gathers its link term over Model::theta and runs the
 //     attribute fixed-point sweeps. Kept as the ground truth the batch
-//     path is tested (and benched) against.
+//     path is tested against.
 //
-//   * BatchPlanner + InferSession — the batch-planned serving pipeline.
-//     A batch of queries *is* a sparse matrix (rows = queries, cols =
-//     link targets), so Plan() validates every query up front (per-query
-//     Status preserved), assembles the valid queries' links into one
-//     query x node CSR, and Execute() computes the whole batch's link
-//     term Σ_r γ_r (Q_r Θ) through the SpMM kernel (linalg/spmm.h) — γ_r
-//     is folded into the CSR values at plan time so each row accumulates
-//     in the query's original link order and the result stays bitwise
-//     identical to the reference path. Model-side constants (one
-//     GaussianEvalTable per numerical attribute, a term-major transpose
-//     of each categorical beta) are built once in a reusable
-//     ServeWorkspace and shared by every query of every batch. The
-//     attribute sweeps run over fixed-grain query blocks, so results are
-//     bitwise invariant to the thread count.
+//   * ServeCore — the batch-planned serving pipeline over one fixed
+//     (network, model) pair. A batch of queries *is* a sparse matrix
+//     (rows = queries, cols = link targets), so Plan() validates every
+//     query up front (per-query Status preserved), assembles the valid
+//     queries' links into one query x node CSR, and Execute() computes
+//     the whole batch's link term Σ_r γ_r (Q_r Θ) through the SpMM kernel
+//     (linalg/spmm.h) — γ_r is folded into the CSR values at plan time so
+//     each row accumulates in the query's original link order and the
+//     result stays bitwise identical to the reference path. The
+//     model-side constants (one GaussianEvalTable per numerical
+//     attribute, a term-major transpose of each categorical beta) are
+//     built once, when the core is, and shared by every query of every
+//     batch. The attribute sweeps run over fixed-grain query blocks, so
+//     results are bitwise invariant to the thread count.
 //
-// The pipeline has three users. Engine (core/engine.h) wraps it behind
-// Plan/Execute and keeps Infer/InferBatch as thin wrappers over a
-// one-shot plan; Server (core/server.h) runs it behind a bounded
-// micro-batching request queue; and maintenance (core/update.h) folds
-// network nodes in through it — ApplyUpdates re-solves touched rows and
-// Engine::Refit seeds new ones with the query a new object carrying the
-// node's out-links and observations would send.
+// A core is immutable: Plan and Execute are const and every Execute owns
+// its scratch, so any number of threads plan and execute on one core at
+// once. Each of its three users holds one core per model. Engine
+// (core/engine.h) forwards Plan/Execute to its core and keeps
+// Infer/InferBatch as thin wrappers over a one-shot plan; each Server
+// model snapshot (core/server.h) serves its micro-batches on its core;
+// and maintenance (core/update.h) folds network nodes in through one —
+// ApplyUpdates re-solves touched rows and Engine::Refit seeds new ones
+// with the query a new object carrying the node's out-links and
+// observations would send.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +56,11 @@
 
 namespace genclus {
 
-/// Serving defaults, single-sourced: engine and server options,
-/// InferMembership's defaults, maintenance's fold-in (ApplyUpdates and
-/// Refit seeding) and the tests all read these instead of restating
-/// literals.
+/// Serving defaults, single-sourced: Engine and Server serving (neither
+/// has a knob for them; Server's degradation controller lowers only the
+/// sweep count, under overload), InferMembership's defaults,
+/// maintenance's fold-in (ApplyUpdates and Refit seeding) and the tests
+/// all read these instead of restating literals.
 struct ServeDefaults {
   /// Fixed-point sweeps per query (the responsibilities depend on the
   /// object's own theta, so a few iterations refine the attribute part;
@@ -118,7 +122,7 @@ inline constexpr uint32_t kNoHardLabel =
     std::numeric_limits<uint32_t>::max();
 
 /// Validated, executable form of one serve batch, produced by
-/// BatchPlanner::Plan (or Engine::Plan). Invalid queries keep their
+/// ServeCore::Plan (or Engine::Plan). Invalid queries keep their
 /// per-query Status and are excluded from the CSR; valid queries occupy
 /// CSR rows in input order.
 struct InferPlan {
@@ -165,7 +169,7 @@ struct ServeReport {
   size_t exec_blocks = 0;
   /// Valid queries answered with fewer fixed-point sweeps than the
   /// configured normal — the serving tier's graceful-degradation mode.
-  /// Always 0 on the direct Engine/InferSession paths.
+  /// Always 0 on the direct Engine/ServeCore paths.
   size_t degraded_queries = 0;
   double plan_seconds = 0.0;
   double exec_seconds = 0.0;
@@ -184,7 +188,7 @@ struct InferenceResult {
   /// Version of the model that answered each query — filled only by the
   /// serving tier's collector path (core/server.h), where answers of one
   /// logical batch can straddle a SwapModel; empty on the direct
-  /// Engine/InferSession paths. Slot i is 0 for queries that failed
+  /// Engine/ServeCore paths. Slot i is 0 for queries that failed
   /// before execution.
   std::vector<uint64_t> model_versions;
   ServeReport report;
@@ -197,45 +201,34 @@ struct InferenceResult {
   }
 };
 
-/// Validates serve batches against a (network, model) pair and assembles
-/// InferPlans. Stateless apart from the model-level precondition, which
-/// is checked once at construction; both pointers must outlive the
-/// planner.
-class BatchPlanner {
+/// The batch serving pipeline over one fixed (network, model) pair.
+/// Construction checks the model-level precondition once (a failure marks
+/// every query of every plan) and builds the model-side tables. Both
+/// pointers must outlive the core, and the model's components must not
+/// change while it exists. Theta is never cached — every Execute reads
+/// its rows live — so they may be rewritten between calls (ApplyUpdates'
+/// Jacobi rounds and Refit's seeding do). Immutable once built: Plan and
+/// Execute are const and each Execute owns its scratch, so concurrent
+/// calls need no synchronization.
+class ServeCore {
  public:
-  BatchPlanner(const Network* network, const Model* model);
+  ServeCore(const Network* network, const Model* model);
 
   /// Validates every query (per-query Status — one bad query never
   /// poisons the rest) and assembles the valid ones into the batch CSR.
   InferPlan Plan(std::span<const NewObjectQuery> queries) const;
 
- private:
-  const Network* network_;
-  const Model* model_;
-  /// Model-vs-network precondition; a failure marks every query.
-  Status model_status_;
-};
-
-/// Reusable per-session scratch of the batch execution path: the
-/// model-side constants shared by every batch (one GaussianEvalTable per
-/// numerical attribute, a term-major transpose of each categorical beta)
-/// and the per-batch buffers (the batch link-term matrix, per-block sweep
-/// scratch). Analogous to the EM path's EmWorkspace.
-class ServeWorkspace {
- public:
-  ServeWorkspace() = default;
+  /// Runs a plan this core built: one SpMM pass for the link term, then
+  /// `iterations` attribute fixed-point sweeps (at least 1) clamped at
+  /// `theta_floor`, both over fixed-grain query blocks on `pool` (null =
+  /// serial). Results are bitwise identical to per-query InferMembership
+  /// with the same sweeps and floor, for any pool.
+  InferenceResult Execute(
+      const InferPlan& plan, ThreadPool* pool,
+      size_t iterations = ServeDefaults::kInferenceIterations,
+      double theta_floor = ServeDefaults::kThetaFloor) const;
 
  private:
-  friend class InferSession;
-
-  // Builds the model-side tables; no-op when already built for `model`.
-  // The model's components must not change while a workspace is prepared
-  // for it; Theta is never cached (every Execute reads its rows live).
-  void PrepareModel(const Model& model);
-  // (Re)sizes the per-batch buffers; reuses capacity across batches.
-  void PrepareBatch(size_t num_rows, size_t num_clusters,
-                    size_t num_blocks);
-
   // One resolved observation of the executing query: the sweep loop
   // reads `data` (term-major beta row, or the query's cached Gaussian
   // log-density row) instead of chasing model components per sweep.
@@ -245,74 +238,23 @@ class ServeWorkspace {
     bool categorical = false;
   };
 
-  // Per-block sweep scratch: theta/mix/responsibilities/log-theta (4 x K
-  // doubles in `kbuf`), the per-query cache of sweep-invariant Gaussian
-  // log-densities (one K-row per numerical observation) and the resolved
-  // observation descriptors.
-  struct BlockScratch {
-    std::vector<double> kbuf;
-    std::vector<double> log_pdf;
-    std::vector<ObsRef> obs;
-  };
+  // The attribute sweeps of query rows [row_begin, row_end), one block,
+  // over their rows of the call's link term. kFixedK > 0: compile-time
+  // cluster count; kFixedK == -1: runtime K.
+  template <int kFixedK>
+  void SweepRows(const InferPlan& plan, const Matrix& link_part,
+                 size_t row_begin, size_t row_end, size_t iterations,
+                 double theta_floor, InferenceResult* out) const;
 
-  const Model* prepared_for_ = nullptr;
+  const Network* network_;
+  const Model* model_;
+  // Model-vs-network precondition; a failure marks every query.
+  Status model_status_;
   // Term-major transpose (vocab x K) of each categorical attribute's
   // beta, so the per-term E-step reads K contiguous doubles.
   std::vector<Matrix> beta_transpose_;
-  // Hoisted Gaussian constants of each numerical attribute — built once
-  // per model instead of once per query.
+  // Hoisted Gaussian constants of each numerical attribute.
   std::vector<GaussianEvalTable> gaussians_;
-  // Batch link term Σ_r γ_r (Q_r Θ): num_rows x K.
-  Matrix link_part_;
-  std::vector<BlockScratch> block_scratch_;
-};
-
-/// Executes InferPlans over a thread pool, reusing one ServeWorkspace
-/// across batches. `model` must outlive the session and its components
-/// must not change while the session exists; Theta rows are read live by
-/// every Execute, so they may be rewritten between batches (ApplyUpdates'
-/// Jacobi rounds do). `pool` may be null for serial execution.
-/// Not thread-safe: callers running batches concurrently use one session
-/// per concurrent batch (Engine recycles a session pool; Server gives
-/// each worker thread its own session).
-class InferSession {
- public:
-  InferSession(const Model* model, ThreadPool* pool,
-               size_t iterations = ServeDefaults::kInferenceIterations,
-               double theta_floor = ServeDefaults::kThetaFloor);
-
-  /// Runs the batch: one SpMM pass for the link term, then the attribute
-  /// fixed-point sweeps, both over fixed-grain query blocks. Results are
-  /// bitwise identical to per-query InferMembership and to any other
-  /// thread count. The plan must have been built against this session's
-  /// model.
-  InferenceResult Execute(const InferPlan& plan);
-
-  /// Fixed-point sweeps per query. The serving tier's degradation
-  /// controller lowers this under sustained overload and restores it on
-  /// recovery; each worker owns its session, so no synchronization is
-  /// needed. Clamped to at least 1 at execution time.
-  void set_iterations(size_t iterations) { iterations_ = iterations; }
-  size_t iterations() const { return iterations_; }
-
- private:
-  // Runs query rows [row_begin, row_end) of one block: SpMM for the
-  // block's link-term rows, then the per-query sweeps (dispatched to a
-  // K-specialized instantiation for common cluster counts, like the SpMM
-  // kernel — unrolling never reorders a floating-point op, so every
-  // instantiation yields bitwise identical results).
-  void ExecuteBlock(const InferPlan& plan, size_t block, size_t row_begin,
-                    size_t row_end, InferenceResult* out);
-  // kFixedK > 0: compile-time cluster count; kFixedK == -1: runtime K.
-  template <int kFixedK>
-  void SweepRows(const InferPlan& plan, size_t block, size_t row_begin,
-                 size_t row_end, InferenceResult* out);
-
-  const Model* model_;
-  ThreadPool* pool_;
-  size_t iterations_;
-  double theta_floor_;
-  ServeWorkspace workspace_;
 };
 
 /// Infers theta for a new object given its out-links and observations —

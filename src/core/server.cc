@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -29,6 +28,9 @@ constexpr double kEwmaAlpha = 0.25;
 // Least scheduling slack a deadline-capped linger leaves before the
 // request's latest start (see WorkerLoop's linger_cap).
 constexpr int64_t kMinLingerSlackUs = 1000;
+
+// Largest ServerOptions::max_batch that Validate accepts.
+constexpr size_t kMaxBatchCeiling = size_t{1} << 16;
 
 // Nearest-rank percentile, reordering `samples` in place. Successive
 // calls on the same scratch buffer are fine: nth_element needs no
@@ -79,19 +81,18 @@ Status ServerOptions::Validate() const {
   if (queue_capacity < 1) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }
-  if (max_batch < 1) {
-    return Status::InvalidArgument("max_batch must be >= 1");
-  }
-  if (inference_iterations < 1) {
-    return Status::InvalidArgument("inference_iterations must be >= 1");
-  }
-  if (!(theta_floor > 0.0)) {
-    return Status::InvalidArgument("theta_floor must be > 0");
+  // The ceiling bounds the batch-size histogram, which has max_batch + 1
+  // slots: SIZE_MAX wraps it to none and 2^40 cannot be allocated. It is
+  // 1,024 times the default, far past where coalescing stops paying.
+  if (max_batch < 1 || max_batch > kMaxBatchCeiling) {
+    return Status::InvalidArgument(
+        StrFormat("max_batch must be in [1, %zu]", kMaxBatchCeiling));
   }
   if (min_inference_iterations < 1 ||
-      min_inference_iterations > inference_iterations) {
-    return Status::InvalidArgument(
-        "min_inference_iterations must be in [1, inference_iterations]");
+      min_inference_iterations > ServeDefaults::kInferenceIterations) {
+    return Status::InvalidArgument(StrFormat(
+        "min_inference_iterations must be in [1, %zu]",
+        ServeDefaults::kInferenceIterations));
   }
   if (default_timeout_us < 0) {
     return Status::InvalidArgument("default_timeout_us must be >= 0");
@@ -109,19 +110,19 @@ Status ServerOptions::Validate() const {
   return Status::OK();
 }
 
-// One published model snapshot (see server.h). `planner` is built against
-// `model` once at publication; Plan() is const, so every worker on this
-// version shares it without synchronization.
+// One published model snapshot (see server.h). `core` is built against
+// `model` before publication and is immutable, so every worker on this
+// version plans and executes on it without synchronization.
 struct Server::VersionedModel {
   std::shared_ptr<const Model> model;
-  BatchPlanner planner;
+  ServeCore core;
   uint64_t version;
   uint64_t fingerprint;
 
   VersionedModel(const Network* network, std::shared_ptr<const Model> m,
                  uint64_t v)
       : model(std::move(m)),
-        planner(network, model.get()),
+        core(network, model.get()),
         version(v),
         fingerprint(model->Fingerprint()) {}
 };
@@ -182,7 +183,7 @@ Server::Server(const Network* network,
       num_clusters_(first->model->num_clusters()),
       queue_(options.queue_capacity),
       current_model_(std::move(first)),
-      current_iterations_(options.inference_iterations),
+      current_iterations_(ServeDefaults::kInferenceIterations),
       batch_size_histogram_(options.max_batch + 1, 0) {
   size_t num_workers = options_.num_workers;
   if (num_workers == 0) {
@@ -229,11 +230,15 @@ Status Server::SwapModel(std::shared_ptr<const Model> model) {
         "swapped model has %zu clusters, server was created with %zu",
         model->num_clusters(), num_clusters_));
   }
-  // Build the snapshot (planner + fingerprint — the expensive part)
-  // outside the lock; only version assignment and publication are
-  // serialized.
+  // Build the snapshot (core + fingerprint — the expensive part) outside
+  // the lock; only version assignment and publication are serialized.
   auto replacement =
       std::make_shared<VersionedModel>(network_, std::move(model), /*v=*/0);
+  // Error-injection site: a build that throws leaves the served version
+  // untouched, since nothing is published before the snapshot is whole.
+  GENCLUS_FAILPOINT("server.swap_model",
+                    throw std::runtime_error(
+                        "injected server.swap_model build failure"));
   {
     MutexLock lock(model_mutex_);
     replacement->version = current_model_->version + 1;
@@ -309,7 +314,7 @@ void Server::UpdateDegradation(double queue_wait_ewma_us) {
     current_iterations_.compare_exchange_strong(current, current - 1,
                                                 std::memory_order_relaxed);
   } else if (queue_wait_ewma_us <= exit &&
-             current < options_.inference_iterations) {
+             current < ServeDefaults::kInferenceIterations) {
     current_iterations_.compare_exchange_strong(current, current + 1,
                                                 std::memory_order_relaxed);
   }
@@ -526,28 +531,20 @@ void Server::Fail(Request& request, Status status,
 
 // The admission loop body each worker runs: coalesce queued queries into
 // one micro-batch (linger capped by the tightest member deadline), shed
-// members whose deadline already passed, plan + execute the rest on this
-// worker's own session (own ServeWorkspace — workers never share mutable
-// execution state, so micro-batches run concurrently), deliver per-query
-// answers, record stats and feed the admission/degradation controllers.
-// The session runs its batch serially: with num_workers sessions in
-// flight the tier already saturates the cores batch-wise, and serial
-// execution keeps per-batch latency deterministic. An execution exception
-// fails only that batch (kInternal) — the worker keeps serving.
+// members whose deadline already passed, plan + execute the rest on the
+// pinned snapshot's ServeCore (immutable, each Execute with its own
+// scratch — workers share no mutable execution state, so micro-batches
+// run concurrently), deliver per-query answers, record stats and feed the
+// admission/degradation controllers. A batch executes serially: with
+// num_workers batches in flight the tier already saturates the cores
+// batch-wise, and serial execution keeps per-batch latency
+// deterministic. An execution exception fails only that batch
+// (kInternal) — the worker keeps serving.
 //
 // Model swaps are observed per batch: the worker pins the current
 // VersionedModel snapshot before planning, so a SwapModel racing this
-// batch takes effect at the NEXT dequeue — never mid-batch. The
-// InferSession (whose ServeWorkspace caches model-side tables) is rebuilt
-// lazily on the first batch after the pinned snapshot changes; a rebuild
-// failure fails only that batch with kInternal and keeps the previous
-// session, so the worker still serves the old model until a rebuild
-// succeeds.
+// batch takes effect at the NEXT dequeue — never mid-batch.
 void Server::WorkerLoop() {
-  // Built lazily against `pinned` (the snapshot the session's workspace
-  // caches tables for); nullopt until the first non-empty batch.
-  std::shared_ptr<const VersionedModel> pinned;
-  std::optional<InferSession> session;
   std::vector<Request> batch;
   std::vector<Request> live;
   std::vector<NewObjectQuery> queries;
@@ -609,60 +606,34 @@ void Server::WorkerLoop() {
     }
     const size_t iterations =
         current_iterations_.load(std::memory_order_relaxed);
-    const bool degraded = iterations < options_.inference_iterations;
+    const bool degraded = iterations < ServeDefaults::kInferenceIterations;
     InferPlan plan;
     InferenceResult result;
     Status exec_error;
     uint64_t batch_model_version = 0;
     if (!live.empty()) {
       // Pin the model snapshot this whole batch runs on; a concurrent
-      // SwapModel affects only later dequeues. Rebuild the session when
-      // the snapshot changed since the last batch (or never existed).
-      std::shared_ptr<const VersionedModel> current = CurrentModel();
-      if (pinned != current) {
-        try {
-          // Error-injection site: proves a worker exception during the
-          // post-swap session rebuild fails only that batch (kInternal)
-          // while the worker keeps its old session and keeps serving.
-          GENCLUS_FAILPOINT("server.swap_model",
-                            throw std::runtime_error(
-                                "injected server.swap_model rebuild "
-                                "failure"));
-          session.emplace(current->model.get(), /*pool=*/nullptr,
-                          options_.inference_iterations,
-                          options_.theta_floor);
-          pinned = std::move(current);
-        } catch (const std::exception& e) {
-          exec_error = Status::Internal(StrFormat(
-              "session rebuild after model swap failed: %s", e.what()));
-        } catch (...) {
-          exec_error =
-              Status::Internal("session rebuild after model swap failed");
-        }
+      // SwapModel affects only later dequeues.
+      const std::shared_ptr<const VersionedModel> pinned = CurrentModel();
+      batch_model_version = pinned->version;
+      queries.clear();
+      queries.reserve(live.size());
+      for (Request& request : live) {
+        queries.push_back(std::move(request.query));
       }
-      if (exec_error.ok()) {
-        batch_model_version = pinned->version;
-        session->set_iterations(iterations);
-        queries.clear();
-        queries.reserve(live.size());
-        for (Request& request : live) {
-          queries.push_back(std::move(request.query));
-        }
-        plan = pinned->planner.Plan(queries);
-        try {
-          // Error-injection site: proves a throwing Execute fails its
-          // batch with kInternal while the worker keeps serving.
-          GENCLUS_FAILPOINT("server.execute",
-                            throw std::runtime_error(
-                                "injected server.execute failure"));
-          result = session->Execute(plan);
-        } catch (const std::exception& e) {
-          exec_error =
-              Status::Internal(StrFormat("batch execution failed: %s",
-                                         e.what()));
-        } catch (...) {
-          exec_error = Status::Internal("batch execution failed");
-        }
+      plan = pinned->core.Plan(queries);
+      try {
+        // Error-injection site: proves a throwing Execute fails its
+        // batch with kInternal while the worker keeps serving.
+        GENCLUS_FAILPOINT("server.execute",
+                          throw std::runtime_error(
+                              "injected server.execute failure"));
+        result = pinned->core.Execute(plan, /*pool=*/nullptr, iterations);
+      } catch (const std::exception& e) {
+        exec_error = Status::Internal(
+            StrFormat("batch execution failed: %s", e.what()));
+      } catch (...) {
+        exec_error = Status::Internal("batch execution failed");
       }
     }
     const auto done_at = std::chrono::steady_clock::now();

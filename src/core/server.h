@@ -6,9 +6,10 @@
 //      queue full =>                backpressure)   max_batch queries,
 //      kResourceExhausted)                          linger max_wait_us)
 //
-// Each worker thread owns its own InferSession (and therefore its own
-// ServeWorkspace), so micro-batches execute concurrently — no global
-// execution mutex. The admission loop coalesces queued single queries
+// Each worker plans and executes its micro-batch on the pinned model
+// snapshot's ServeCore (core/inference.h), which is immutable and gives
+// every Execute its own scratch, so micro-batches execute concurrently —
+// no global execution mutex. The admission loop coalesces queued single queries
 // into micro-batches sized to the SpMM sweet spot (max_batch defaults to
 // the knee of the per-query cost against batch size). Because every
 // query's sweep depends only on its own links and observations, the
@@ -44,8 +45,9 @@
 //     rejects it immediately with kDeadlineExceeded — the cheapest
 //     possible shed, before the queue ever holds it.
 //   * Graceful degradation: under sustained overload (queue-wait EWMA
-//     above degrade_queue_wait_us) workers step inference_iterations down
-//     toward min_inference_iterations, trading per-answer sweep count for
+//     above degrade_queue_wait_us) workers step the sweep count down from
+//     ServeDefaults::kInferenceIterations toward
+//     min_inference_iterations, trading per-answer sweep count for
 //     throughput; answers computed with fewer sweeps are flagged
 //     (QueryResult::degraded, ServerStats::degraded) and the tier steps
 //     back up once the queue-wait EWMA falls below the recovery threshold.
@@ -61,21 +63,20 @@
 //
 //   * The served model lives behind SwapModel() as an RCU-style versioned
 //     snapshot: a shared_ptr<const VersionedModel> bundling the model,
-//     its BatchPlanner, a monotonically increasing version and the
-//     model's content Fingerprint(). SwapModel validates the replacement
+//     its ServeCore, a monotonically increasing version and the model's
+//     content Fingerprint(). SwapModel validates the replacement
 //     (ValidateForServing — it may cover MORE nodes than the network,
-//     e.g. a Refit on a grown dataset; K must not change) and publishes
-//     it under a short mutex; readers take shared_ptr snapshots.
+//     e.g. a Refit on a grown dataset; K must not change), builds the
+//     whole snapshot and only then publishes it under a short mutex;
+//     readers take shared_ptr snapshots. A build that throws (exercised
+//     via the "server.swap_model" failpoint) propagates out of SwapModel
+//     with the served version unchanged: the swap either publishes or
+//     throws.
 //   * Each worker pins the current snapshot for the duration of one
 //     micro-batch: in-flight batches finish (and are attributed) on the
 //     model they started with, batches dequeued after the swap plan and
 //     execute against the new one. No request is ever dropped or
 //     mis-attributed by a swap.
-//   * A worker's InferSession/ServeWorkspace is rebuilt lazily on the
-//     first batch it runs after a swap (snapshot identity change). A
-//     rebuild failure (exercised via the "server.swap_model" failpoint)
-//     fails only that batch with kInternal and keeps the worker's old
-//     session — the tier keeps serving.
 //   * QueryResult::model_version, InferenceResult::model_versions and
 //     ServerStats::{model_version, model_fingerprint, model_swaps} stamp
 //     exactly which model answered what.
@@ -102,8 +103,8 @@ namespace genclus {
 
 /// Admission and execution knobs of the serving tier.
 struct ServerOptions {
-  /// Worker threads, each owning one InferSession + ServeWorkspace.
-  /// 0 = hardware concurrency.
+  /// Worker threads. Each runs one micro-batch at a time, serially, on the
+  /// pinned snapshot's ServeCore. 0 = hardware concurrency.
   size_t num_workers = 2;
   /// Request-queue bound: admissions beyond this many queued queries are
   /// rejected with kResourceExhausted (never queued unboundedly).
@@ -114,6 +115,7 @@ struct ServerOptions {
   /// network: most of the SpMM win of batch 256 without its queueing
   /// delay. The repository benchmark times batches of 1 and of max_batch
   /// only, so retuning this needs such a sweep again (ROADMAP item 2).
+  /// At most 65,536 (see Validate).
   size_t max_batch = 64;
   /// How long a worker lingers after the first dequeued query for more
   /// arrivals to coalesce. 0 = take only what is already queued. A
@@ -123,10 +125,6 @@ struct ServerOptions {
   /// the workers join (pending futures complete with real answers);
   /// false fails still-queued requests fast with kCancelled.
   bool drain_on_stop = true;
-  /// Fixed-point sweeps per query (see InferMembership).
-  size_t inference_iterations = ServeDefaults::kInferenceIterations;
-  /// Floor applied to inferred membership probabilities.
-  double theta_floor = ServeDefaults::kThetaFloor;
   /// Default per-request deadline budget in microseconds, applied to
   /// submissions that do not carry an explicit Deadline. 0 = no default
   /// (deadline-free requests never expire).
@@ -141,11 +139,13 @@ struct ServerOptions {
   /// min_inference_iterations. 0 = degradation disabled.
   int64_t degrade_queue_wait_us = 0;
   /// Recovery threshold: once the queue-wait EWMA falls below this,
-  /// workers step the sweep count back up toward inference_iterations.
+  /// workers step the sweep count back up toward
+  /// ServeDefaults::kInferenceIterations.
   /// 0 = degrade_queue_wait_us / 4. Must be below the entry threshold —
   /// the hysteresis gap prevents oscillation at the boundary.
   int64_t recover_queue_wait_us = 0;
-  /// Sweep-count floor degradation never goes below.
+  /// Sweep-count floor degradation never goes below; in
+  /// [1, ServeDefaults::kInferenceIterations].
   size_t min_inference_iterations = 2;
 
   Status Validate() const;
@@ -160,7 +160,7 @@ struct QueryResult {
   std::vector<double> membership;
   uint32_t hard_label = kNoHardLabel;
   /// True when the answer was computed with fewer fixed-point sweeps
-  /// than ServerOptions::inference_iterations because the tier was in
+  /// than ServeDefaults::kInferenceIterations because the tier was in
   /// graceful-degradation mode.
   bool degraded = false;
   /// Seconds the query waited in the queue before a worker dequeued it.
@@ -211,7 +211,7 @@ struct ServerStats {
   /// Micro-batches executed.
   size_t batches = 0;
   /// Fixed-point sweep count workers are currently using — equals
-  /// ServerOptions::inference_iterations except in degradation mode.
+  /// ServeDefaults::kInferenceIterations except in degradation mode.
   size_t current_inference_iterations = 0;
   /// Admission-control predictions (EWMAs, microseconds): what cost-based
   /// rejection currently assumes a new request will wait / cost.
@@ -298,9 +298,12 @@ class Server {
   /// Model::ValidateForServing (it may cover more nodes than the network,
   /// never fewer; K must equal the current model's — SubmitBatch
   /// preallocates K-wide result rows at admission, before knowing which
-  /// model will answer). On success the new model is published
-  /// immediately: micro-batches already dequeued finish on the model they
-  /// pinned, every batch dequeued afterwards plans against the new one.
+  /// model will answer). Builds the replacement's snapshot (its
+  /// ServeCore and fingerprint) before publishing anything, so a build
+  /// that throws propagates with the served version unchanged. On
+  /// success the new model is published immediately: micro-batches
+  /// already dequeued finish on the model they pinned, every batch
+  /// dequeued afterwards plans against the new one.
   /// Never blocks request execution; callable from any thread, including
   /// concurrently with Submit/SubmitBatch/Stats.
   Status SwapModel(std::shared_ptr<const Model> model)
@@ -319,9 +322,9 @@ class Server {
   // per-query completions; the last completion fulfills the promise.
   struct BatchCollector;
 
-  // One published model snapshot: the model, the planner built against it
-  // (Plan is const — one planner is shared by every worker on that
-  // version), the monotonically increasing version and the content
+  // One published model snapshot: the model, the ServeCore built against
+  // it (immutable — every worker on that version plans and executes on
+  // it), the monotonically increasing version and the content
   // fingerprint. Immutable after publication; lifetime managed by
   // shared_ptr so in-flight batches outlive a swap safely.
   struct VersionedModel;
@@ -359,7 +362,8 @@ class Server {
   double PredictedExecMicros() const;
   // Steps current_iterations_ one sweep down (overload) or up (recovery)
   // per executed micro-batch, between min_inference_iterations and
-  // inference_iterations, with the configured hysteresis gap.
+  // ServeDefaults::kInferenceIterations, with the configured hysteresis
+  // gap.
   void UpdateDegradation(double queue_wait_ewma_us);
 
   bool Enqueue(Request request, Status* rejection);

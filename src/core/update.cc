@@ -266,12 +266,12 @@ Result<FitResult> Engine::Refit(const Dataset& dataset,
   model.gamma = config.initial_gamma;
   model.theta = prev_model.theta;
   model.theta.AppendRows(n - prev_rows, 0.0);
-  const BatchPlanner planner(&dataset.network, &model);
-  InferSession session(&model, /*pool=*/nullptr,
-                       ServeDefaults::kInferenceIterations, config.theta_floor);
+  const ServeCore core(&dataset.network, &model);
   for (NodeId v = static_cast<NodeId>(prev_rows); v < n; ++v) {
     const NewObjectQuery query = FoldInQuery(dataset.network, v, v, attrs);
-    const InferenceResult seed = session.Execute(planner.Plan({&query, 1}));
+    const InferenceResult seed =
+        core.Execute(core.Plan({&query, 1}), /*pool=*/nullptr,
+                     ServeDefaults::kInferenceIterations, config.theta_floor);
     // Evidence read from the validated dataset cannot fail planning.
     GENCLUS_CHECK(seed.ok(0));
     std::ranges::copy(seed.membership(0), model.theta.Row(v));
@@ -346,25 +346,25 @@ Result<UpdateReport> ApplyUpdates(Dataset* dataset, Model* model,
                           1.0 / static_cast<double>(num_clusters));
 
   // Every touched row is one query of a single plan over all of its
-  // out-links, built after the growth so the planner sees the grown
-  // Theta. Evidence read from the grown dataset (targets < n, weights
-  // checked by GrowDataset, terms inside the model's vocabulary, counts
-  // bounded after repeated terms are summed) cannot fail planning, so
-  // nothing after GrowDataset can fail.
+  // out-links, built after the growth so the core sees the grown Theta.
+  // Evidence read from the grown dataset (targets < n, weights checked by
+  // GrowDataset, terms inside the model's vocabulary, counts bounded
+  // after repeated terms are summed) cannot fail planning, so nothing
+  // after GrowDataset can fail.
   std::vector<NewObjectQuery> queries;
   queries.reserve(rows.size());
   for (NodeId v : rows) {
     queries.push_back(FoldInQuery(dataset->network, v, n, attrs));
   }
-  const InferPlan plan = BatchPlanner(&dataset->network, model).Plan(queries);
+  const ServeCore core(&dataset->network, model);
+  const InferPlan plan = core.Plan(queries);
   GENCLUS_CHECK_EQ(plan.num_rows(), rows.size());
 
   // Jacobi rounds: each round re-solves every touched row against the
   // previous round's Theta. A round's answers reach Theta only once all
   // are solved, so the result is independent of the iteration order.
-  InferSession session(model, /*pool=*/nullptr);
   for (size_t round = 0; round < options.rounds; ++round) {
-    const InferenceResult result = session.Execute(plan);
+    const InferenceResult result = core.Execute(plan, /*pool=*/nullptr);
     for (size_t i = 0; i < rows.size(); ++i) {
       std::ranges::copy(result.membership(i), model->theta.Row(rows[i]));
     }

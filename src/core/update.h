@@ -6,13 +6,13 @@
 //   * ApplyUpdates — streaming: folds batches of NetworkDelta (hin/delta.h)
 //     into an existing Dataset + Model in place. Every touched row (new
 //     nodes, sources of new links, nodes with new observations) is
-//     re-solved by the serving fold-in — BatchPlanner + InferSession
-//     (core/inference.h) with the ServeDefaults sweep count and floor —
-//     over the node's out-links and observations, in a few Jacobi rounds;
-//     components are optionally re-estimated from the updated Theta,
-//     resuming from the M-step sums the model kept from its last refresh
-//     when only new rows carry changed observations. No EM sweeps over
-//     the full network.
+//     re-solved by the serving fold-in — one ServeCore (core/inference.h)
+//     with the ServeDefaults sweep count and floor — over the node's
+//     out-links and observations, in a few Jacobi rounds; components
+//     are optionally re-estimated from the updated Theta, resuming from
+//     the M-step sums the model kept from its last refresh when only new
+//     rows carry changed observations. No EM sweeps over the full
+//     network.
 //
 //   * Engine::Refit (declared in core/engine.h, defined here) — nightly:
 //     a full Algorithm 1 run on the grown dataset, warm-started from the

@@ -1,15 +1,19 @@
 // Engine serving surface: Create validation, Infer/InferBatch equivalence
 // with the per-object InferMembership path, determinism across thread
-// counts, per-query error isolation, and the full train → save → load →
-// serve round trip reproducing post-fit inference byte-for-byte.
+// counts, concurrent Execute calls on one engine, per-query error
+// isolation, and the full train → save → load → serve round trip
+// reproducing post-fit inference byte-for-byte.
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -120,17 +124,6 @@ TEST_F(EngineFixture, CreateRejectsMismatchedModel) {
       Engine::Create(&fixture_.dataset.network, missing_gamma).ok());
 }
 
-TEST_F(EngineFixture, CreateRejectsBadOptions) {
-  EngineOptions options;
-  options.inference_iterations = 0;
-  EXPECT_FALSE(
-      Engine::Create(&fixture_.dataset.network, model_, options).ok());
-  options = EngineOptions();
-  options.theta_floor = 0.0;
-  EXPECT_FALSE(
-      Engine::Create(&fixture_.dataset.network, model_, options).ok());
-}
-
 TEST_F(EngineFixture, InferBatchMatchesPerObjectInferMembership) {
   auto engine = MakeEngine(2);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -170,6 +163,47 @@ TEST_F(EngineFixture, InferBatchDeterministicAcrossThreadCounts) {
           << "thread count " << num_threads << " changed query " << i;
     }
   }
+}
+
+TEST_F(EngineFixture, ConcurrentExecuteCallsMatchTheReference) {
+  // Concurrent callers share the engine's one immutable ServeCore and its
+  // pool. The batch is MixedBatch() ten times over: 40 queries in three
+  // 16-query blocks, so every call also splits across the pool.
+  auto engine = MakeEngine(2);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::vector<NewObjectQuery> queries;
+  for (int copy = 0; copy < 10; ++copy) {
+    for (NewObjectQuery& q : MixedBatch()) queries.push_back(std::move(q));
+  }
+  std::vector<std::vector<double>> reference;
+  for (const NewObjectQuery& q : queries) {
+    auto direct = InferMembership(fixture_.dataset.network, model_, q.links,
+                                  q.observations);
+    ASSERT_TRUE(direct.ok());
+    reference.push_back(std::move(direct).value());
+  }
+
+  constexpr size_t kCallers = 4;
+  constexpr size_t kCalls = 25;
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (size_t call = 0; call < kCalls; ++call) {
+        const InferenceResult result =
+            engine->Execute(engine->Plan(queries));
+        for (size_t i = 0; i < queries.size(); ++i) {
+          if (!result.ok(i) ||
+              std::memcmp(result.memberships.Row(i), reference[i].data(),
+                          reference[i].size() * sizeof(double)) != 0) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST_F(EngineFixture, InvalidQueriesFailAloneWithoutPoisoningTheBatch) {

@@ -1,5 +1,5 @@
-// Batch-planned serving (BatchPlanner + InferSession behind
-// Engine::Plan/Execute): edge cases — empty batch, all-invalid
+// Batch-planned serving (ServeCore behind Engine::Plan/Execute): edge
+// cases — empty batch, all-invalid
 // batch, duplicate links, links-only / observations-only queries,
 // observation kinds and counts or readings past the observation bound,
 // refused alike by Plan and InferMembership — plus the two load-bearing

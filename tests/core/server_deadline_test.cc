@@ -87,7 +87,7 @@ Model* ServerDeadlineTest::model_ = nullptr;
 
 TEST_F(ServerDeadlineTest, ValidateRejectsBadRobustnessOptions) {
   ServerOptions options;
-  options.min_inference_iterations = options.inference_iterations + 1;
+  options.min_inference_iterations = ServeDefaults::kInferenceIterations + 1;
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
   options = ServerOptions{};
   options.default_timeout_us = -1;
@@ -296,7 +296,7 @@ TEST_F(ServerDeadlineTest, DegradedModeEntersAtFloorAndRecovers) {
   options.recover_queue_wait_us = 1000;
   options.min_inference_iterations = 2;
   auto server = MakeServer(options);
-  const size_t normal = options.inference_iterations;
+  const size_t normal = ServeDefaults::kInferenceIterations;
 
   Failpoints::Arm("server.worker_batch", {.delay_us = 20'000, .fail = false});
   bool saw_degraded_answer = false;

@@ -9,15 +9,17 @@
 //   * SubmitBatch stamps InferenceResult::model_versions per slot;
 //   * SwapModel validates the replacement (null, wrong K, fewer nodes
 //     than the network) and a rejected swap leaves serving untouched;
-//   * with failpoints compiled in, a worker exception during the
-//     post-swap session rebuild ("server.swap_model") fails only that
-//     batch with kInternal — the worker keeps serving and rebuilds on
-//     the next batch. This file runs in the TSan and failpoints CI lanes.
+//   * with failpoints compiled in, a snapshot build that throws
+//     ("server.swap_model") propagates out of SwapModel and leaves the
+//     served version, the swap count and the answers untouched; the next
+//     swap publishes normally. This file runs in the TSan and failpoints
+//     CI lanes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -259,7 +261,7 @@ TEST_F(ServerSwapTest, SwapUnderLoadDropsAndMisattributesNothing) {
   EXPECT_EQ(stats.model_version, kSwaps + 1);
 }
 
-TEST_F(ServerSwapTest, RebuildFailureFailsOnlyThatBatch) {
+TEST_F(ServerSwapTest, FailedSwapBuildLeavesServedVersionIntact) {
   if (!Failpoints::kEnabled) {
     GTEST_SKIP() << "failpoints compiled out";
   }
@@ -271,29 +273,29 @@ TEST_F(ServerSwapTest, RebuildFailureFailsOnlyThatBatch) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   Server& srv = *server.value();
 
-  // Build the worker's session on model A first.
-  auto warmup = srv.Submit(pool.queries[0]);
-  ASSERT_TRUE(warmup.ok());
-  ASSERT_TRUE(warmup.value().get().ok());
-
-  ASSERT_TRUE(srv.SwapModel(*model_b_).ok());
+  // The replacement's snapshot build throws: nothing is published.
   Failpoints::Arm("server.swap_model", {.max_fires = 1});
+  EXPECT_THROW(static_cast<void>(srv.SwapModel(*model_b_)),
+               std::runtime_error);
+  EXPECT_EQ(srv.model_version(), 1u);
+  EXPECT_EQ(srv.Stats().model_swaps, 0u);
 
-  // First post-swap batch: the rebuild throws, the batch fails kInternal,
-  // the worker survives with its old session.
-  auto failed = srv.Submit(pool.queries[0]);
-  ASSERT_TRUE(failed.ok());
-  QueryResult broken = failed.value().get();
-  EXPECT_EQ(broken.status.code(), StatusCode::kInternal);
-  EXPECT_EQ(broken.model_version, 0u);  // no model answered it
+  auto kept = srv.Submit(pool.queries[0]);
+  ASSERT_TRUE(kept.ok());
+  QueryResult answer_a = kept.value().get();
+  ASSERT_TRUE(answer_a.ok()) << answer_a.status.ToString();
+  ExpectBitwise(answer_a.membership, pool.reference_a[0]);
+  EXPECT_EQ(answer_a.model_version, 1u);
 
-  // Next batch: the rebuild succeeds and serving resumes on model B.
-  auto recovered = srv.Submit(pool.queries[1]);
-  ASSERT_TRUE(recovered.ok());
-  QueryResult answer = recovered.value().get();
-  ASSERT_TRUE(answer.ok()) << answer.status.ToString();
-  ExpectBitwise(answer.membership, pool.reference_b[1]);
-  EXPECT_EQ(answer.model_version, 2u);
+  // The next swap builds and publishes version 2.
+  ASSERT_TRUE(srv.SwapModel(*model_b_).ok());
+  EXPECT_EQ(srv.model_version(), 2u);
+  auto swapped = srv.Submit(pool.queries[1]);
+  ASSERT_TRUE(swapped.ok());
+  QueryResult answer_b = swapped.value().get();
+  ASSERT_TRUE(answer_b.ok()) << answer_b.status.ToString();
+  ExpectBitwise(answer_b.membership, pool.reference_b[1]);
+  EXPECT_EQ(answer_b.model_version, 2u);
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 //   * clean shutdown with a non-empty queue — draining by default,
 //     failing fast with kCancelled when drain_on_stop is off;
 //   * destroying a Server with pending SubmitBatch futures is safe (the
-//     old Engine::Submit std::async path dangled its captured ServeState
-//     — ASan/TSan cover this regression in CI);
-//   * concurrent Engine::Execute calls (per-caller sessions, no global
+//     old Engine::Submit std::async path dangled the engine's serving
+//     state — ASan/TSan cover this regression in CI);
+//   * concurrent Engine::Execute calls (one immutable ServeCore, no
 //     execution mutex) stay bitwise equal to the reference path;
 //   * ServerStats observability: counters, batch-size histogram, queue
 //     high-water, latency summaries.
@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -115,6 +116,13 @@ TEST_F(ServerTest, CreateValidatesOptionsAndModel) {
   auto server = Server::Create(&fixture_->dataset.network, *model_, bad);
   EXPECT_FALSE(server.ok());
   EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+
+  // SIZE_MAX once wrapped the batch-size histogram to no slots, so the
+  // first executed batch wrote past it; a ceiling refuses it up front.
+  bad.max_batch = std::numeric_limits<size_t>::max();
+  auto huge = Server::Create(&fixture_->dataset.network, *model_, bad);
+  EXPECT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
 
   auto null_model = Server::Create(&fixture_->dataset.network,
                                    std::shared_ptr<const Model>(), {});
@@ -342,7 +350,7 @@ TEST_F(ServerTest, SubmitBatchAssemblesInferenceResultBitwise) {
 
 TEST_F(ServerTest, ServerDestructionWithPendingSubmitBatchIsSafe) {
   // Regression for the PR 5 Submit hazard: a pending std::async future
-  // captured the engine's heap ServeState, so destroying the owner with
+  // captured the engine's heap serving state, so destroying the owner with
   // the future in flight was a use-after-free. SubmitBatch rides the
   // draining queue: the server destructor completes every outstanding
   // submission before tearing anything down, and the futures stay valid
@@ -474,9 +482,10 @@ TEST_F(ServerTest, StatsConcurrentWithLiveTrafficIsRaceFree) {
 }
 
 TEST_F(ServerTest, ConcurrentEngineExecuteMatchesReference) {
-  // With the execution mutex gone, concurrent Execute callers get their
-  // own pooled sessions and must still produce bitwise-reference results
-  // while genuinely overlapping on one engine (and one thread pool).
+  // Concurrent Execute callers share the engine's one immutable core,
+  // each call with its own scratch, and must still produce
+  // bitwise-reference results while genuinely overlapping on one engine
+  // (and one thread pool).
   EngineOptions engine_options;
   engine_options.num_threads = 2;
   auto engine = Engine::Create(&fixture_->dataset.network, *model_,
