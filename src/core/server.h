@@ -9,9 +9,9 @@
 // Each worker plans and executes its micro-batch on the pinned model
 // snapshot's ServeCore (core/inference.h), which is immutable and gives
 // every Execute its own scratch, so micro-batches execute concurrently —
-// no global execution mutex. The admission loop coalesces queued single queries
-// into micro-batches sized to the SpMM sweet spot (max_batch defaults to
-// the knee of the per-query cost against batch size). Because every
+// no global execution mutex. The admission loop coalesces queued single
+// queries into micro-batches sized to the SpMM sweet spot (max_batch
+// defaults to the knee of the per-query cost against batch size). Because every
 // query's sweep depends only on its own links and observations, the
 // per-query answers are bitwise identical to Engine::InferBatch no matter
 // how the admission loop happens to batch them — the contract

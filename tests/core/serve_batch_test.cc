@@ -1,12 +1,12 @@
 // Batch-planned serving (ServeCore behind Engine::Plan/Execute): edge
-// cases — empty batch, all-invalid
-// batch, duplicate links, links-only / observations-only queries,
-// observation kinds and counts or readings past the observation bound,
-// refused alike by Plan and InferMembership — plus the two load-bearing
-// contracts: every batch result is bitwise identical to the per-query
-// InferMembership reference, and bitwise invariant to the engine's pool
-// size (1/2/8). Numerical coverage runs on a weather fixture so the
-// shared GaussianEvalTable path is exercised too.
+// cases — empty batch, all-invalid batch, duplicate links, links-only /
+// observations-only queries, observation kinds and counts or readings
+// past the observation bound, refused alike by Plan and InferMembership
+// — plus the two load-bearing contracts: every batch result is bitwise
+// identical to the per-query InferMembership reference, and bitwise
+// invariant to the engine's pool size (1/2/8). Numerical coverage runs
+// on a weather fixture so the shared GaussianEvalTable path is exercised
+// too.
 #include <gtest/gtest.h>
 
 #include <cmath>
